@@ -2,11 +2,22 @@
 
 Initialisation builds the value graph, computes a maximum matching and fails
 when it leaves a variable uncovered; otherwise edges in no covering matching
-are deleted and pushed back to the store as value removals.  Deletion events
-remove edges, repair the matching only when a matched edge was lost, and
-re-filter whenever the graph changed.  New variables are adopted by adding
-their edges (touching only the new variables), extending the matching from
-the uncovered variables, and re-filtering; every adoption is captured in a
+are deleted and pushed back to the store as value removals.
+
+Between calls the graph is filtered: every edge lies on a matching covering
+X.  A change can only cost support to edges in the connected components of
+the vertices it touched, so each call re-filters just those components, and
+its cost follows the size of the touched component, not of the whole graph:
+
+* a deletion removes edges, repairs the matching in place from `var` only
+  when its matched edge was lost, and re-filters `var`'s component (a part
+  the deletion splits off loses no support; see `dynalldiff.matching`);
+* an adoption adds the new variables' edges (touching only the new
+  variables), extends the matching in place from them, and re-filters
+  their component.
+
+The matching's flips are logged as they happen, and the trail frames and
+adoption records are built from that log.  Every adoption is captured in a
 record whose inverse restores the exact pre-adoption state.
 """
 
@@ -36,17 +47,15 @@ class AdoptionRecord:
         "added_edges",
         "matching_delta",
         "filtered_edges",
-        "pre_digest",
         "retracted",
     )
 
-    def __init__(self, pre_digest: str):
+    def __init__(self):
         self.added_vars: list[int] = []
         self.added_val_vertices: list[int] = []
         self.added_edges: list[tuple[int, int]] = []
         self.matching_delta: list[tuple[int, Optional[int], Optional[int]]] = []
         self.filtered_edges: list[tuple[int, int]] = []
-        self.pre_digest = pre_digest
         self.retracted = False
 
     @property
@@ -65,26 +74,16 @@ class AdoptionRecord:
         )
 
 
-def _matching_delta(old: Matching, new: Matching):
+def _net_delta(matching: Matching, flips):
+    """(var, before, after) per variable the logged flips left changed."""
     delta = []
-    for var in old.pair_of_var.keys() | new.pair_of_var.keys():
-        before = old.pair_of_var.get(var)
-        after = new.pair_of_var.get(var)
+    # the first flip of each variable holds its value before the flips
+    for var, before in dict(reversed(flips)).items():
+        after = matching.pair_of_var.get(var)
         if before != after:
             delta.append((var, before, after))
     delta.sort()
     return delta
-
-
-def _apply_matching_values(matching: Matching, assignments) -> None:
-    """Set pair(var) = val (or unmatch when val is None) for each entry."""
-    for var, val in assignments:
-        current = matching.pair_of_var.pop(var, None)
-        if current is not None and matching.pair_of_val.get(current) == var:
-            del matching.pair_of_val[current]
-    for var, val in assignments:
-        if val is not None:
-            matching.match(var, val)
 
 
 class _EdgesRemovedFrame:
@@ -113,9 +112,7 @@ class _MatchingReplacedFrame:
         self.cells = 3 * len(delta)
 
     def undo(self, store):
-        _apply_matching_values(
-            self.propagator.matching, [(var, old) for var, old, _ in self.delta]
-        )
+        self.propagator.matching.assign((var, old) for var, old, _ in self.delta)
 
 
 class _AdoptionFrame:
@@ -142,7 +139,6 @@ class AllDifferent:
             raise DuplicateVariable("repeated variable in alldifferent")
         self.graph = ValueGraph()
         self.matching = Matching()
-        self.var_order: list[int] = []
         self.records: list[AdoptionRecord] = []
         self.handle_id: Optional[int] = None
 
@@ -157,7 +153,6 @@ class AllDifferent:
             return False
         self.graph = graph
         self.matching = matching
-        self.var_order = list(self.variables)
         removed = remove_edges_from_g(graph, matching, store.counters)
         for var, val in removed:
             store.remove_value(var, val, cause=self.handle_id)
@@ -178,14 +173,18 @@ class AllDifferent:
         damaged = remove_edges(self.graph, self.matching, doomed)
         store.trail_push(_EdgesRemovedFrame(self, entries))
         if damaged:
-            extended = matching_covering_x(self.graph, self.matching, store.counters)
-            if extended is None:
+            flips = []
+            covered = matching_covering_x(
+                self.graph, self.matching, store.counters, [var], flips
+            )
+            if covered is None:
                 return False
-            delta = _matching_delta(self.matching, extended)
-            if delta:
-                store.trail_push(_MatchingReplacedFrame(self, delta))
-                self.matching = extended
-        filtered = remove_edges_from_g(self.graph, self.matching, store.counters)
+            store.trail_push(
+                _MatchingReplacedFrame(self, _net_delta(self.matching, flips))
+            )
+        filtered = remove_edges_from_g(
+            self.graph, self.matching, store.counters, seeds=[var]
+        )
         if filtered:
             store.trail_push(
                 _EdgesRemovedFrame(self, [(v, a, False) for v, a in filtered])
@@ -209,13 +208,13 @@ class AllDifferent:
         marked failed and the record holds the graph additions only.
         """
         batch = list(new_vars)
-        seen = set(self.graph.adj_var)
+        fresh = set()
         for var in batch:
             store._check_var(var)
-            if var in seen:
+            if var in fresh or self.graph.has_var(var):
                 raise DuplicateVariable(f"variable {var} already adopted")
-            seen.add(var)
-        record = AdoptionRecord(graph_checksum(self.graph, self.matching))
+            fresh.add(var)
+        record = AdoptionRecord()
         for var in batch:
             self.graph.add_var_vertex(var)
             record.added_vars.append(var)
@@ -225,17 +224,18 @@ class AllDifferent:
                     record.added_val_vertices.append(val)
                 self.graph.add_edge(var, val)
                 record.added_edges.append((var, val))
-        self.var_order.extend(batch)
         self.records.append(record)
-        extended = matching_covering_x(self.graph, self.matching, store.counters)
-        if extended is None:
+        flips = []
+        covered = matching_covering_x(
+            self.graph, self.matching, store.counters, batch, flips
+        )
+        if covered is None:
             store.trail_push(_AdoptionFrame(self, record))
             store._fail()
             return False, record
-        record.matching_delta = _matching_delta(self.matching, extended)
-        self.matching = extended
+        record.matching_delta = _net_delta(self.matching, flips)
         record.filtered_edges = remove_edges_from_g(
-            self.graph, self.matching, store.counters
+            self.graph, self.matching, store.counters, seeds=batch
         )
         store.trail_push(_AdoptionFrame(self, record))
         for var, val in record.filtered_edges:
@@ -246,7 +246,7 @@ class AllDifferent:
         return True, record
 
     def retract_last(self, record: AdoptionRecord) -> None:
-        """Undo the newest adoption; graph checksum returns to pre_digest."""
+        """Undo the newest adoption; the graph checksum returns to its old value."""
         if not self.records or self.records[-1] is not record or record.retracted:
             raise NonLifoRetract("record is not the newest unretracted adoption")
         self._undo_adoption(record)
@@ -254,19 +254,17 @@ class AllDifferent:
     def _undo_adoption(self, record: AdoptionRecord) -> None:
         if record.retracted:
             return
-        assert self.records and self.records[-1] is record
+        if not self.records or self.records[-1] is not record:
+            raise NonLifoRetract("adoption undone out of LIFO order")
         for var, val in record.filtered_edges:
             self.graph.add_edge(var, val)
-        _apply_matching_values(
-            self.matching, [(var, old) for var, old, _ in record.matching_delta]
-        )
+        self.matching.assign((var, old) for var, old, _ in record.matching_delta)
         for var, val in reversed(record.added_edges):
             self.graph.remove_edge(var, val)
         for val in reversed(record.added_val_vertices):
             self.graph.pop_val_vertex(val)
         for var in reversed(record.added_vars):
             self.graph.pop_var_vertex(var)
-        del self.var_order[len(self.var_order) - len(record.added_vars) :]
         self.records.pop()
         record.retracted = True
 
@@ -280,17 +278,17 @@ class AllDifferent:
             self.graph.edge_count,
             dict(self.matching.pair_of_var),
             dict(self.matching.pair_of_val),
-            list(self.var_order),
             list(self.records),
             [r.retracted for r in self.records],
         )
         p = len(snap[0])
         d = len(snap[1])
+        # the last p: the variable order, kept as adj_var's key order
         cells = 2 * self.graph.edge_count + p + d + 2 * self.matching.size + p
         return snap, cells
 
     def restore(self, snap) -> None:
-        adj_var, adj_val, edge_count, pvar, pval, order, records, flags = snap
+        adj_var, adj_val, edge_count, pvar, pval, records, flags = snap
         graph = ValueGraph()
         graph.adj_var = {v: set(s) for v, s in adj_var.items()}
         graph.adj_val = {a: set(s) for a, s in adj_val.items()}
@@ -300,10 +298,10 @@ class AllDifferent:
         matching.pair_of_var = dict(pvar)
         matching.pair_of_val = dict(pval)
         self.matching = matching
-        self.var_order = list(order)
         self.records = list(records)
         for record, flag in zip(self.records, flags):
             record.retracted = flag
 
     def state_digest(self) -> str:
-        return graph_checksum(self.graph, self.matching) + f":{tuple(self.var_order)}"
+        order = tuple(self.graph.adj_var)  # the variables in adoption order
+        return graph_checksum(self.graph, self.matching) + f":{order}"

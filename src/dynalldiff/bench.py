@@ -94,10 +94,8 @@ class _EngineBase:
                 return vid
         return None
 
-    def add_skipped(self, step_index: int) -> _AddEntry:
-        entry = _AddEntry(step_index, self.store.checksum(), "skipped")
-        self.add_stack.append(entry)
-        return entry
+    def add_skipped(self, step_index: int, checksum: str) -> None:
+        self.add_stack.append(_AddEntry(step_index, checksum, "skipped"))
 
     def live_graph(self):
         raise NotImplementedError
@@ -123,8 +121,7 @@ class DynamicEngine(_EngineBase):
     def live_graph(self):
         return self.propagator
 
-    def add(self, step_index: int, name: str, domain: set[int]) -> bool:
-        checksum = self.store.checksum()
+    def add(self, step_index: int, name: str, domain: set[int], checksum: str) -> bool:
         var = self.store.add_variable(domain)
         token = self.store.push_checkpoint()
         if self.propagator is None:
@@ -167,8 +164,7 @@ class GenericEngine(_EngineBase):
         handle = self.wrapper.active_handle
         return handle.propagator if handle is not None else None
 
-    def add(self, step_index: int, name: str, domain: set[int]) -> bool:
-        checksum = self.store.checksum()
+    def add(self, step_index: int, name: str, domain: set[int], checksum: str) -> bool:
         var = self.store.add_variable(domain)
         ok = self.wrapper.add_variable(var)
         self.live.append((name, var))
@@ -195,22 +191,27 @@ def _make_engine(mode: str, store: Store) -> _EngineBase:
 def run_scenario(
     scenario: Scenario, mode: str, verify_oracle: bool = False
 ) -> RunResult:
-    """Replay the scenario; returns per-step results and counters."""
+    """Replay the scenario; returns per-step results and counters.
+
+    The store checksums an ADD and a POP are checked against are taken
+    outside the step's `wall_ns` window.
+    """
     store = Store()
     engine = _make_engine(mode, store)
     result = RunResult(mode)
     for index, step in enumerate(scenario.steps):
+        record = StepResult(index=index, op=step.op)
+        if step.op == "ADD":
+            record.checksum_before = store.checksum()
         before = store.counters.snapshot()
         t0 = time.perf_counter_ns()
-        record = StepResult(index=index, op=step.op)
         if step.op == "ADD":
             domain = {scenario.value_id(sym) for sym in step.values}
             if store.failed:
                 record.diagnostic = "branch failed; ADD skipped"
-                record.checksum_before = engine.add_skipped(index).checksum
+                engine.add_skipped(index, record.checksum_before)
             else:
-                record.checksum_before = store.checksum()
-                engine.add(index, step.var, domain)
+                engine.add(index, step.var, domain, record.checksum_before)
             record.k = 1
         elif step.op == "DEL":
             var = engine.var_id(step.var)
@@ -228,7 +229,6 @@ def run_scenario(
         elif step.op == "POP":
             record.matched_add = engine.add_stack[-1].step
             engine.pop()
-            record.checksum_after = store.checksum()
         else:  # CHECK
             record.check_domains = {
                 name: tuple(
@@ -246,6 +246,8 @@ def run_scenario(
                             f"step {index}: domains are not the oracle GAC fixpoint"
                         )
         record.wall_ns = time.perf_counter_ns() - t0
+        if step.op == "POP":
+            record.checksum_after = store.checksum()
         after = store.counters.snapshot()
         record.augment_visits = after[0] - before[0]
         record.filter_visits = after[1] - before[1]

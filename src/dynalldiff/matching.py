@@ -8,6 +8,25 @@ indices stable for trail deltas.
 
 Orientation convention, fixed project wide: matched edges point value to
 variable, unmatched edges point variable to value.
+
+Local cost.  A graph is *filtered* when every edge lies on some matching
+that covers X.  An edge's support (being matched, lying on an alternating
+cycle, or on an even alternating path from a free value) never leaves its
+connected component, so after a change to a filtered graph only some
+components can lose edges, and `remove_edges_from_g` filters just the
+components of the variables it is given as seeds:
+
+* after adding variables, their component, which holds every augmenting
+  path from them;
+* after deleting edges at a variable x, x's component.  A part the deletion
+  splits off keeps its matching and loses no support: a cycle or path that
+  reached x through a deleted edge leaves the part either at a value freed
+  by deleting x's matched edge (which now supports that piece as the start
+  of an even path) or as the start of an old path from a free value.
+
+`matching_covering_x` extends the matching in place from the uncovered
+variables the caller names, logging each flip.  Both then cost on the order
+of the touched component, not of the whole graph.
 """
 
 from __future__ import annotations
@@ -16,7 +35,7 @@ import hashlib
 from collections import deque
 from typing import Iterable, Optional
 
-from .errors import UncoveredVariable, UnknownEdge
+from .errors import KernelError, UncoveredVariable, UnknownEdge
 
 _INF = -1
 
@@ -89,11 +108,13 @@ class ValueGraph:
 
     def pop_var_vertex(self, var: int) -> None:
         """Remove a variable vertex; its edges must already be gone."""
-        assert not self.adj_var[var]
+        if self.adj_var[var]:
+            raise KernelError(f"variable vertex {var} still has edges")
         del self.adj_var[var]
 
     def pop_val_vertex(self, val: int) -> None:
-        assert not self.adj_val[val]
+        if self.adj_val[val]:
+            raise KernelError(f"value vertex {val} still has edges")
         del self.adj_val[val]
 
     def edges(self) -> list[tuple[int, int]]:
@@ -113,12 +134,6 @@ class Matching:
     def size(self) -> int:
         return len(self.pair_of_var)
 
-    def copy(self) -> "Matching":
-        twin = Matching()
-        twin.pair_of_var = dict(self.pair_of_var)
-        twin.pair_of_val = dict(self.pair_of_val)
-        return twin
-
     def match(self, var: int, val: int) -> None:
         self.pair_of_var[var] = val
         self.pair_of_val[val] = var
@@ -126,6 +141,17 @@ class Matching:
     def unmatch(self, var: int, val: int) -> None:
         del self.pair_of_var[var]
         del self.pair_of_val[val]
+
+    def assign(self, pairs: Iterable[tuple[int, Optional[int]]]) -> None:
+        """Set pair(var) = val, or unmatch var when val is None, as one batch."""
+        pairs = list(pairs)
+        for var, _ in pairs:
+            current = self.pair_of_var.pop(var, None)
+            if current is not None and self.pair_of_val.get(current) == var:
+                del self.pair_of_val[current]
+        for var, val in pairs:
+            if val is not None:
+                self.match(var, val)
 
     def covers(self, variables: Iterable[int]) -> bool:
         return all(var in self.pair_of_var for var in variables)
@@ -148,56 +174,76 @@ def _augment_phase(
     matching: Matching,
     sources: list[int],
     counters: Optional[OpCounters],
+    log: Optional[list[tuple[int, Optional[int]]]] = None,
 ) -> int:
     """One Hopcroft-Karp phase: layered BFS from sources, then shortest DFS.
 
     Returns the number of augmenting paths applied.  Sources must be
-    currently unmatched variable vertices.
+    currently unmatched variable vertices.  The DFS is iterative, so path
+    length is not bounded by the recursion limit, and a path is applied
+    only once it is complete; each (var, previous value or None) flip is
+    appended to `log` when one is given.
     """
-    dist = {var: _INF for var in graph.adj_var}
-    queue: deque[int] = deque()
-    for var in sources:
-        dist[var] = 0
-        queue.append(var)
+    adj_var = graph.adj_var
+    pair_of_var = matching.pair_of_var
+    pair_of_val = matching.pair_of_val
+    dist = dict.fromkeys(sources, 0)  # BFS layer of each reached variable
+    queue: deque[int] = deque(sources)
+    visits = 0
     shortest = _INF
     while queue:
         var = queue.popleft()
-        if counters is not None:
-            counters.augment_visits += 1
+        visits += 1
         if shortest != _INF and dist[var] >= shortest:
             continue
-        for val in sorted(graph.adj_var[var]):
-            owner = matching.pair_of_val.get(val)
+        for val in sorted(adj_var[var]):
+            owner = pair_of_val.get(val)
             if owner is None:
                 if shortest == _INF:
                     shortest = dist[var] + 1
-            elif dist[owner] == _INF:
+            elif owner not in dist:
                 dist[owner] = dist[var] + 1
                 queue.append(owner)
     if shortest == _INF:
-        return 0
-
-    def dfs(var: int) -> bool:
         if counters is not None:
-            counters.augment_visits += 1
-        for val in sorted(graph.adj_var[var]):
-            owner = matching.pair_of_val.get(val)
-            if owner is None:
-                if dist[var] + 1 == shortest:
-                    matching.match(var, val)
-                    return True
-            elif dist[owner] == dist[var] + 1:
-                if dfs(owner):
-                    matching.match(var, val)
-                    return True
-        dist[var] = _INF
-        return False
-
+            counters.augment_visits += visits
+        return 0
     applied = 0
-    for var in sources:
-        if var not in matching.pair_of_var and dist[var] == 0:
-            if dfs(var):
-                applied += 1
+    for source in sources:
+        if source in pair_of_var or dist[source] != 0:
+            continue
+        visits += 1
+        var, vals = source, iter(sorted(adj_var[source]))
+        above: list = []  # (var, its remaining values, value taken) per level
+        while True:
+            layer = dist[var] + 1
+            for val in vals:
+                owner = pair_of_val.get(val)
+                if owner is None:
+                    if layer == shortest:
+                        break
+                elif dist.get(owner, _INF) == layer:
+                    break
+            else:  # a dead end: it leaves the layering, and we backtrack
+                dist[var] = _INF
+                if not above:
+                    break
+                var, vals, _ = above.pop()
+                continue
+            above.append((var, vals, val))
+            if owner is not None:  # descend to the value's owner
+                var, vals = owner, iter(sorted(adj_var[owner]))
+                visits += 1
+                continue
+            # a free value on the last layer: flip the path, deepest first
+            for var, _, val in reversed(above):
+                if log is not None:
+                    log.append((var, pair_of_var.get(var)))
+                matching.match(var, val)
+            applied += 1
+            break
+    if counters is not None:
+        counters.augment_visits += visits
     return applied
 
 
@@ -213,132 +259,188 @@ def compute_maximum_matching(
 
 
 def matching_covering_x(
-    graph: ValueGraph, matching: Matching, counters: Optional[OpCounters] = None
+    graph: ValueGraph,
+    matching: Matching,
+    counters: Optional[OpCounters] = None,
+    uncovered: Optional[list[int]] = None,
+    log: Optional[list[tuple[int, Optional[int]]]] = None,
 ) -> Optional[Matching]:
-    """Extend `matching` to cover every variable vertex, or return None.
+    """Extend `matching` in place to cover every variable vertex, or return None.
 
-    Augments from the currently uncovered variables only; covered variables
-    may be rerouted but stay covered.  The input matching is not mutated.
+    Augmenting paths start at `uncovered`, the variables the matching
+    misses; without it, or when it does not name all of them, they are
+    found by a scan of every variable.  Covered variables may be rerouted
+    but stay covered.  Each flip is appended to `log` as (var, previous
+    value or None).  Returns `matching` itself; on failure this call's
+    flips are undone and dropped from `log`, so `matching` is as it was.
     """
-    work = matching.copy()
+    pair_of_var = matching.pair_of_var
+    if uncovered is None or matching.size + len(uncovered) != len(graph.adj_var):
+        uncovered = list(graph.adj_var)
+    flips = [] if log is None else log
+    start = len(flips)
     while True:
-        uncovered = [v for v in graph.adj_var if v not in work.pair_of_var]
+        uncovered = [v for v in uncovered if v not in pair_of_var]
         if not uncovered:
-            return work
-        if _augment_phase(graph, work, uncovered, counters) == 0:
+            return matching
+        if _augment_phase(graph, matching, uncovered, counters, flips) == 0:
+            # the first flip of each variable holds its value before this call
+            matching.assign(dict(reversed(flips[start:])).items())
+            del flips[start:]
             return None
+
+
+def _component(
+    graph: ValueGraph, seeds: Iterable[int]
+) -> tuple[list[int], list[int]]:
+    """Variables and values of the connected components holding the seeds."""
+    adj_var, adj_val = graph.adj_var, graph.adj_val
+    variables = list(dict.fromkeys(seeds))
+    values: list[int] = []
+    seen_vars, seen_vals = set(variables), set()
+    i = j = 0
+    while i < len(variables) or j < len(values):
+        for var in variables[i:]:
+            for val in adj_var[var]:
+                if val not in seen_vals:
+                    seen_vals.add(val)
+                    values.append(val)
+        i = len(variables)
+        for val in values[j:]:
+            for var in adj_val[val]:
+                if var not in seen_vars:
+                    seen_vars.add(var)
+                    variables.append(var)
+        j = len(values)
+    return variables, values
+
+
+def _strong_components(
+    graph: ValueGraph, matching: Matching, nodes: list[int]
+) -> dict[int, int]:
+    """Iterative Tarjan over the oriented graph restricted to `nodes`.
+
+    Node 2*var is a variable vertex and 2*val + 1 a value vertex; `nodes`
+    must be closed under the orientation (a union of connected components).
+    Maps each node to the root node of its strongly connected component.
+    """
+    adj_var = graph.adj_var
+    pair_of_var = matching.pair_of_var
+    pair_of_val = matching.pair_of_val
+
+    def successors(node: int) -> list[int]:
+        if node & 1:
+            owner = pair_of_val.get(node >> 1)
+            return [] if owner is None else [2 * owner]
+        matched = pair_of_var[node >> 1]
+        return [2 * val + 1 for val in adj_var[node >> 1] if val != matched]
+
+    index: dict[int, int] = {}
+    low: dict[int, int] = {}
+    component: dict[int, int] = {}
+    stack: list[int] = []
+    on_stack: set[int] = set()
+    for root in nodes:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        on_stack.add(root)
+        work = [(root, iter(successors(root)))]
+        while work:
+            node, succ_iter = work[-1]
+            for nxt in succ_iter:
+                if nxt not in index:
+                    index[nxt] = low[nxt] = len(index)
+                    stack.append(nxt)
+                    on_stack.add(nxt)
+                    work.append((nxt, iter(successors(nxt))))
+                    break
+                if nxt in on_stack and index[nxt] < low[node]:
+                    low[node] = index[nxt]
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    if low[node] < low[parent]:
+                        low[parent] = low[node]
+                if low[node] == index[node]:
+                    while True:
+                        member = stack.pop()
+                        on_stack.discard(member)
+                        component[member] = node
+                        if member == node:
+                            break
+    return component
 
 
 def remove_edges_from_g(
     graph: ValueGraph,
     matching: Matching,
     counters: Optional[OpCounters] = None,
+    seeds: Optional[Iterable[int]] = None,
 ) -> list[tuple[int, int]]:
     """Delete and return every edge that is in no matching covering X.
 
     Kept edges are the matched ones, those on an alternating cycle (same
     strongly connected component of the oriented graph) and those on an even
-    alternating path from a free value vertex.  Runs in O(m + p + d).
+    alternating path from a free value vertex.
+
+    Without `seeds` the whole graph is filtered, in O(m + p + d).  With
+    seeds, the variables a change touched, only their connected component is
+    filtered; that is exact when the graph was filtered before the change
+    (see the module docstring).  Removed edges come in ascending
+    (var, value) order.
     """
-    for var in graph.adj_var:
-        if var not in matching.pair_of_var:
+    adj_var, adj_val = graph.adj_var, graph.adj_val
+    pair_of_var = matching.pair_of_var
+    pair_of_val = matching.pair_of_val
+    if seeds is None:
+        variables, values = list(adj_var), list(adj_val)
+        visits = 0
+    else:
+        variables, values = _component(graph, seeds)
+        visits = len(variables) + len(values)
+    for var in variables:
+        if var not in pair_of_var:
             raise UncoveredVariable(f"variable {var} is not covered")
 
-    # Tarjan SCC over the oriented graph; vertices are ('x', var) / ('v', val).
-    index: dict[tuple[str, int], int] = {}
-    low: dict[tuple[str, int], int] = {}
-    on_stack: set[tuple[str, int]] = set()
-    stack: list[tuple[str, int]] = []
-    component: dict[tuple[str, int], int] = {}
-    next_index = 0
-    next_component = 0
-
-    def successors(node: tuple[str, int]) -> list[tuple[str, int]]:
-        side, vertex = node
-        if side == "x":
-            matched = matching.pair_of_var[vertex]
-            return [("v", val) for val in sorted(graph.adj_var[vertex]) if val != matched]
-        owner = matching.pair_of_val.get(vertex)
-        return [("x", owner)] if owner is not None else []
-
-    all_nodes = [("x", var) for var in graph.adj_var] + [
-        ("v", val) for val in graph.adj_val
-    ]
-    for root in all_nodes:
-        if root in index:
-            continue
-        # iterative Tarjan: (node, iterator over successors)
-        work = [(root, iter(successors(root)))]
-        index[root] = low[root] = next_index
-        next_index += 1
-        stack.append(root)
-        on_stack.add(root)
-        if counters is not None:
-            counters.filter_visits += 1
-        while work:
-            node, succ_iter = work[-1]
-            advanced = False
-            for nxt in succ_iter:
-                if nxt not in index:
-                    index[nxt] = low[nxt] = next_index
-                    next_index += 1
-                    stack.append(nxt)
-                    on_stack.add(nxt)
-                    if counters is not None:
-                        counters.filter_visits += 1
-                    work.append((nxt, iter(successors(nxt))))
-                    advanced = True
-                    break
-                if nxt in on_stack:
-                    low[node] = min(low[node], index[nxt])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    component[member] = next_component
-                    if member == node:
-                        break
-                next_component += 1
+    nodes = [2 * var for var in variables] + [2 * val + 1 for val in values]
+    component = _strong_components(graph, matching, nodes)
+    visits += len(component)
 
     # Even alternating paths from free value vertices: walk the transposed
-    # orientation (unmatched val->var, matched var->val) with a BFS.
-    reached_vals = {val for val in graph.adj_val if val not in matching.pair_of_val}
+    # orientation (unmatched val->var, matched var->val).
+    reached_vals = {val for val in values if val not in pair_of_val}
     seen_vars: set[int] = set()
-    queue: deque[int] = deque(sorted(reached_vals))
-    while queue:
-        val = queue.popleft()
-        if counters is not None:
-            counters.filter_visits += 1
-        for var in sorted(graph.adj_val[val]):
-            if var in seen_vars or matching.pair_of_var[var] == val:
+    frontier = list(reached_vals)
+    while frontier:
+        val = frontier.pop()
+        visits += 1
+        for var in adj_val[val]:
+            matched_val = pair_of_var[var]
+            if var in seen_vars or matched_val == val:
                 continue
             seen_vars.add(var)
-            if counters is not None:
-                counters.filter_visits += 1
-            matched_val = matching.pair_of_var[var]
+            visits += 1
             if matched_val not in reached_vals:
                 reached_vals.add(matched_val)
-                queue.append(matched_val)
+                frontier.append(matched_val)
 
     removed: list[tuple[int, int]] = []
-    for var in graph.adj_var:
-        matched = matching.pair_of_var[var]
-        for val in sorted(graph.adj_var[var]):
-            if val == matched:
+    for var in variables:
+        matched = pair_of_var[var]
+        own = component[2 * var]
+        for val in adj_var[var]:
+            if val == matched or val in reached_vals:
                 continue
-            if component[("x", var)] == component[("v", val)]:
-                continue
-            if val in reached_vals:
-                continue
-            removed.append((var, val))
+            if component[2 * val + 1] != own:
+                removed.append((var, val))
+    removed.sort()
     for var, val in removed:
         graph.remove_edge(var, val)
+    if counters is not None:
+        counters.filter_visits += visits
     return removed
 
 

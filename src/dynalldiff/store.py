@@ -83,8 +83,10 @@ class _VarAdded(_Frame):
         self.var = var
 
     def undo(self, store):
-        assert self.var == len(store.domains) - 1, "non-LIFO variable retraction"
-        assert not store.watchers[self.var], "variable retracted while watched"
+        if self.var != len(store.domains) - 1:
+            raise NonLifoPop("non-LIFO variable retraction")
+        if store.watchers[self.var]:
+            raise NonLifoPop("variable retracted while watched")
         store.domains.pop()
         del store.watchers[self.var]
 
@@ -117,7 +119,8 @@ class _Posted(_Frame):
         self.handle = handle
 
     def undo(self, store):
-        assert store.constraints and store.constraints[-1] is self.handle
+        if not store.constraints or store.constraints[-1] is not self.handle:
+            raise NonLifoPop("posting retracted out of LIFO order")
         store.constraints.pop()
         for var in self.handle.watched_vars:
             store.watchers[var].remove(self.handle.id)
@@ -160,8 +163,9 @@ class _WatcherAdded(_Frame):
         self.var = var
 
     def undo(self, store):
+        if self.handle.watched_vars[-1] != self.var:
+            raise NonLifoPop("watch retracted out of LIFO order")
         store.watchers[self.var].remove(self.handle.id)
-        assert self.handle.watched_vars[-1] == self.var
         self.handle.watched_vars.pop()
 
 
@@ -226,8 +230,9 @@ class Store:
         """
         if not self.trail or not isinstance(self.trail[-1], _VarAdded):
             raise NonLifoPop("newest trail frame is not a variable creation")
-        frame = self.trail.pop()
+        frame = self.trail[-1]
         frame.undo(self)
+        self.trail.pop()
         return frame.var
 
     def domain(self, var: int) -> set[int]:
@@ -275,9 +280,12 @@ class Store:
         if not self._open_tokens or self._open_tokens[-1] is not token:
             raise NonLifoPop(f"{token} is not the newest open checkpoint")
         while len(self.trail) > token.depth + 1:
-            self.trail.pop().undo(self)
-        marker = self.trail.pop()
-        assert isinstance(marker, _Marker) and marker.token is token
+            self.trail[-1].undo(self)  # a frame that refuses stays on the trail
+            self.trail.pop()
+        marker = self.trail[-1]
+        if not isinstance(marker, _Marker) or marker.token is not token:
+            raise NonLifoPop(f"{token} does not mark its trail position")
+        self.trail.pop()
         self._open_tokens.pop()
         # events queued on the abandoned branch are moot
         self._event_order.clear()

@@ -185,7 +185,26 @@ def test_retract_restores_checksum():
     assert graph_checksum(prop.graph, prop.matching) != digest
     prop.retract_last(record)
     assert graph_checksum(prop.graph, prop.matching) == digest
-    assert record.pre_digest == digest
+
+
+@pytest.mark.parametrize("links", [1500, 3000])
+def test_adoption_along_chain_longer_than_recursion_limit(links):
+    # x_i in {i, i+1}: adopting y in {0} shifts every x_i up one value, along
+    # one augmenting path of `links` steps
+    store = Store()
+    chain = [store.add_variable({i, i + 1}) for i in range(links)]
+    prop = post_alldiff(store, chain).propagator
+    before = store.checksum()
+    y = store.add_variable({0})
+    token = store.push_checkpoint()
+    ok, record = prop.add_variables(store, [y])
+    assert ok and store.propagate_fixpoint()
+    assert all(store.domain(x) == {i + 1} for i, x in enumerate(chain))
+    assert len(record.matching_delta) == links + 1
+    store.pop_checkpoint(token)
+    store.retract_last_variable()
+    assert store.checksum() == before
+    assert prop.records == []
 
 
 def test_retract_stale_record_rejected():
@@ -212,6 +231,20 @@ def test_retract_after_failed_adoption():
     assert not ok
     prop.retract_last(record)
     assert graph_checksum(prop.graph, prop.matching) == digest
+
+
+def test_adoption_after_failed_adoption_stays_inconsistent():
+    # x4 stays uncovered after its failed adoption, so the next adoption's
+    # matching repair must start from x4 too, and fail again
+    store, handle, _vars = triple_store()
+    prop = store.constraints[handle.id].propagator
+    x4 = store.add_variable({C})
+    assert not prop.add_variables(store, [x4])[0]
+    x5 = store.add_variable({D})
+    ok, record = prop.add_variables(store, [x5])
+    assert not ok
+    assert record.matching_delta == [] and record.filtered_edges == []
+    assert x4 not in prop.matching.pair_of_var
 
 
 def test_checkpoint_pop_retracts_adoption():

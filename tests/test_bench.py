@@ -2,9 +2,11 @@
 
 import csv
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+from dynalldiff import bench
 from dynalldiff.bench import (
     CSV_COLUMNS,
     main,
@@ -19,6 +21,7 @@ from dynalldiff.scenario import (
     generate_random_scenario,
     parse_scenario,
 )
+from dynalldiff.store import Store
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -239,3 +242,40 @@ def test_run_scenario_survives_failed_branches():
         assert failed_check.consistent is False
         assert final_check.consistent is True
         assert final_check.check_domains == {}
+
+
+def test_checksums_taken_once_and_outside_the_timed_window(monkeypatch):
+    # one hash per ADD (the skipped one too) and one per POP, none timed
+    text = (
+        "VALUES a b c\nADD X1 a b\nADD X2 a b\nADD X3 a b c\nDEL X1 a\n"
+        "DEL X1 b\nADD X4 c\nPOP\nPOP\nCHECK\n"
+    )
+    scenario = parse_scenario(text)
+    events = []
+    real_checksum = Store.checksum
+    real_clock = bench.time.perf_counter_ns
+
+    def checksum(self):
+        events.append("hash")
+        return real_checksum(self)
+
+    def clock():
+        events.append("clock")
+        return real_clock()
+
+    monkeypatch.setattr(Store, "checksum", checksum)
+    monkeypatch.setattr(bench, "time", SimpleNamespace(perf_counter_ns=clock))
+    for mode in ("generic", "dynamic"):
+        events.clear()
+        run = run_scenario(scenario, mode)
+        assert events.count("hash") == 4 + 2, mode
+        assert events.count("clock") == 2 * len(scenario.steps)
+        timed = False
+        for event in events:
+            if event == "clock":
+                timed = not timed
+            else:
+                assert not timed, mode
+        assert [s.checksum_before is not None for s in run.steps] == [
+            s.op == "ADD" for s in run.steps
+        ]

@@ -1,0 +1,163 @@
+"""Local filtering: the same result as whole-graph filtering, at local cost.
+
+Adoption and deletion re-filter only the connected components of the value
+graph that the change touched.  That is exact only if the rest of the graph
+was already filtered, so after every consistent step a whole-graph filter
+over a copy of each live propagator must find nothing left to remove.
+"""
+
+import copy
+import random
+import statistics
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dynalldiff.alldiff import AllDifferent
+from dynalldiff.errors import DomainWipeout, InitFailure
+from dynalldiff.matching import remove_edges_from_g
+from dynalldiff.store import Store
+
+VALUES = 6
+
+STEPS = st.lists(
+    st.tuples(
+        st.sampled_from(["ADD", "DEL", "POP"]),
+        st.integers(0, 2**16),
+        st.integers(0, 2**16),
+        st.frozensets(st.integers(0, VALUES - 1), min_size=1, max_size=4),
+    ),
+    max_size=30,
+)
+
+
+def assert_filtered(store):
+    for handle in store.constraints:
+        if handle.active:
+            graph, matching = copy.deepcopy(
+                (handle.propagator.graph, handle.propagator.matching)
+            )
+            assert remove_edges_from_g(graph, matching) == []
+
+
+def replay(store, lines, steps):
+    """Run ADD/DEL/POP steps; each new variable joins one constraint per group.
+
+    `lines` is a list of groups of propagators (one group for a single
+    constraint; rows and columns for a Latin-style grid).  Every ADD and
+    DEL runs inside its own checkpoint, and POP undoes the newest one.
+    """
+    undo = []
+    for op, pick, value_pick, domain in steps:
+        if op == "POP":
+            if not undo:
+                continue
+            token, added = undo.pop()
+            store.pop_checkpoint(token)
+            if added:
+                store.retract_last_variable()
+        elif store.failed:
+            continue
+        elif op == "ADD":
+            var = store.add_variable(domain)
+            undo.append((store.push_checkpoint(), True))
+            ok = True
+            for group in lines:
+                if ok:
+                    ok = group[pick % len(group)].add_variables(store, [var])[0]
+            if ok:
+                store.propagate_fixpoint()
+        else:
+            open_vars = [v for v, dom in enumerate(store.domains) if len(dom) > 1]
+            if not open_vars:
+                continue
+            var = open_vars[pick % len(open_vars)]
+            values = sorted(store.domains[var])
+            undo.append((store.push_checkpoint(), False))
+            store.remove_value(var, values[value_pick % len(values)])
+            store.propagate_fixpoint()
+        if not store.failed:
+            assert_filtered(store)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(first=st.frozensets(st.integers(0, VALUES - 1), min_size=1), steps=STEPS)
+def test_local_equals_whole_graph_single_constraint(first, steps):
+    store = Store()
+    var = store.add_variable(first)
+    prop = store.post_constraint(AllDifferent([var])).propagator
+    replay(store, [[prop]], steps)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(
+    grid=st.lists(
+        st.frozensets(st.integers(0, VALUES - 1), min_size=2), min_size=6, max_size=6
+    ),
+    steps=STEPS,
+)
+def test_local_equals_whole_graph_latin_style(grid, steps):
+    # a 2 x 3 grid with a row and a column alldifferent per line; each new
+    # variable joins one column and one row
+    store = Store()
+    cells = [store.add_variable(dom) for dom in grid]
+    rows = [cells[0:3], cells[3:6]]
+    columns = [[cells[c], cells[3 + c]] for c in range(3)]
+    try:
+        lines = [
+            [store.post_constraint(AllDifferent(row)).propagator for row in rows],
+            [store.post_constraint(AllDifferent(col)).propagator for col in columns],
+        ]
+    except (InitFailure, DomainWipeout):
+        return
+    if not store.propagate_fixpoint():
+        return
+    assert_filtered(store)
+    replay(store, lines, steps)
+
+
+def test_deletion_that_splits_a_component():
+    # x in {a, b, c}, y in {a, b}, z in {c, d}; matched x=a, y=b, z=c.
+    # Deleting a and b from x cuts {y, a, b} off from x: only x's side is
+    # re-filtered, and y's side, with a now free, has nothing to lose.
+    a, b, c, d = range(4)
+    store = Store()
+    x, y, z = (store.add_variable(dom) for dom in ({a, b, c}, {a, b}, {c, d}))
+    prop = store.post_constraint(AllDifferent([x, y, z])).propagator
+    assert store.propagate_fixpoint()
+    assert prop.matching.pair_of_var == {x: a, y: b, z: c}
+    token = store.push_checkpoint()
+    store.remove_value(x, a)
+    store.remove_value(x, b)
+    assert store.propagate_fixpoint()
+    assert [store.domain(v) for v in (x, y, z)] == [{c}, {a, b}, {d}]
+    assert_filtered(store)
+    store.pop_checkpoint(token)
+    assert prop.matching.pair_of_var == {x: a, y: b, z: c}
+
+
+def test_filter_visits_per_adoption_flat_on_disjoint_blocks():
+    # blocks of 6 variables over their own 8 values: each adoption touches
+    # one block, so the filter's work must not grow with p
+    rng = random.Random(5)
+    store = Store()
+    prop = None
+    visits = {}  # p after the adoption -> filter visits of that adoption
+    for block in range(105):
+        values = range(8 * block, 8 * block + 8)
+        for _ in range(6):
+            var = store.add_variable(rng.sample(values, rng.randint(2, 4)))
+            token = store.push_checkpoint()
+            if prop is None:
+                prop = store.post_constraint(AllDifferent([var])).propagator
+                continue
+            before = store.counters.filter_visits
+            if prop.add_variables(store, [var])[0] and store.propagate_fixpoint():
+                visits[len(prop.graph.adj_var)] = store.counters.filter_visits - before
+            else:
+                store.pop_checkpoint(token)
+                store.retract_last_variable()
+    small = [n for p, n in visits.items() if 30 <= p < 90]
+    large = [n for p, n in visits.items() if 570 <= p < 630]
+    assert len(small) > 40 and len(large) > 40
+    assert statistics.mean(large) <= 1.5 * statistics.mean(small)

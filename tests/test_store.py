@@ -1,6 +1,9 @@
 """Store behaviour: trail round-trips, events, checkpoints, activation."""
 
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -383,3 +386,38 @@ def test_property_trail_roundtrip_under_random_removals(ops):
             break
     store.pop_checkpoint(token)
     assert store.checksum() == before
+
+
+def test_lifo_guards_hold_under_python_optimize():
+    # the guards are raises, not asserts, so `python -O` keeps them; the
+    # script's own first assert shows that -O is in effect
+    script = """
+assert False, "assertions are enabled"
+from dynalldiff.errors import KernelError, NonLifoPop
+from dynalldiff.matching import ValueGraph
+from dynalldiff.store import Store
+
+graph = ValueGraph()
+graph.add_edge(0, 1)
+try:
+    graph.pop_var_vertex(0)
+except KernelError:
+    print("graph refused")
+store = Store()
+var = store.add_variable({0, 1})
+store.watchers[var].append(0)
+try:
+    store.retract_last_variable()
+except NonLifoPop:
+    print("store refused, trail depth", len(store.trail))
+"""
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={"PYTHONPATH": str(src)},
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["graph refused", "store refused, trail depth 1"]
