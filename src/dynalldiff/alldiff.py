@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from typing import Iterable, Optional
 
-from .errors import DomainWipeout, DuplicateVariable, NonLifoRetract
+from .errors import DomainWipeout, DuplicateVariable, KernelError, NonLifoRetract
 from .matching import (
     Matching,
     ValueGraph,
@@ -87,8 +87,6 @@ def _net_delta(matching: Matching, flips):
 
 
 class _EdgesRemovedFrame:
-    kind = "graph-delta"
-
     def __init__(self, propagator, entries):
         # entries: (var, val, was_matched), in removal order
         self.propagator = propagator
@@ -104,8 +102,6 @@ class _EdgesRemovedFrame:
 
 
 class _MatchingReplacedFrame:
-    kind = "matching-delta"
-
     def __init__(self, propagator, delta):
         self.propagator = propagator
         self.delta = delta
@@ -116,8 +112,6 @@ class _MatchingReplacedFrame:
 
 
 class _AdoptionFrame:
-    kind = "graph-delta"
-
     def __init__(self, propagator, record: AdoptionRecord):
         self.propagator = propagator
         self.record = record
@@ -305,3 +299,24 @@ class AllDifferent:
     def state_digest(self) -> str:
         order = tuple(self.graph.adj_var)  # the variables in adoption order
         return graph_checksum(self.graph, self.matching) + f":{order}"
+
+    def validate(self, store) -> None:
+        """Raise KernelError unless graph, matching and store agree.
+
+        Every edge is in its variable's domain; the matching's two maps are
+        inverse, use graph edges only and cover every variable vertex; the
+        variable vertices are the variables this constraint watches.
+        """
+        graph, matching = self.graph, self.matching
+        for var, vals in graph.adj_var.items():
+            if not vals <= store.domains[var]:
+                raise KernelError(f"edges of variable {var} outside its domain")
+        if len(matching.pair_of_val) != matching.size:
+            raise KernelError("matching maps are not inverse")
+        for var, val in matching.pair_of_var.items():
+            if matching.pair_of_val.get(val) != var or not graph.has_edge(var, val):
+                raise KernelError(f"matched pair ({var}, {val}) is not an edge")
+        if not matching.covers(graph.adj_var):
+            raise KernelError("matching does not cover the variables")
+        if set(graph.adj_var) != set(store.constraints[self.handle_id].watched_vars):
+            raise KernelError("graph variables differ from the watched ones")

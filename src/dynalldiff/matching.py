@@ -27,6 +27,18 @@ components of the variables it is given as seeds:
 `matching_covering_x` extends the matching in place from the uncovered
 variables the caller names, logging each flip.  Both then cost on the order
 of the touched component, not of the whole graph.
+
+Reachability first.  Inside the filtered part, the search from the free
+values runs before any strongly connected component is computed: every edge
+to a value that reaches a free value is kept without further work.  Tarjan
+then runs only over the variables whose matched value reaches no free value,
+with each value vertex merged into the variable it is matched to (x has an
+arc to y when x has an unmatched edge to y's value), and only the edges to
+values that reach no free value are swept.  Two facts make that exact: a
+vertex that reaches a free value shares no strongly connected component with
+one that does not, and every value that reaches no free value is matched, to
+a variable whose other edges also lead only to such values, so that set is
+closed under the orientation.
 """
 
 from __future__ import annotations
@@ -298,78 +310,69 @@ def _component(
     variables = list(dict.fromkeys(seeds))
     values: list[int] = []
     seen_vars, seen_vals = set(variables), set()
-    i = j = 0
-    while i < len(variables) or j < len(values):
-        for var in variables[i:]:
-            for val in adj_var[var]:
-                if val not in seen_vals:
-                    seen_vals.add(val)
-                    values.append(val)
-        i = len(variables)
-        for val in values[j:]:
-            for var in adj_val[val]:
-                if var not in seen_vars:
-                    seen_vars.add(var)
-                    variables.append(var)
-        j = len(values)
+    for var in variables:  # grows while it is walked
+        fresh = adj_var[var] - seen_vals
+        if fresh:
+            seen_vals |= fresh
+            values.extend(fresh)
+            for val in fresh:
+                new = adj_val[val] - seen_vars
+                if new:
+                    seen_vars |= new
+                    variables.extend(new)
     return variables, values
 
 
 def _strong_components(
-    graph: ValueGraph, matching: Matching, nodes: list[int]
+    graph: ValueGraph, matching: Matching, variables: list[int]
 ) -> dict[int, int]:
-    """Iterative Tarjan over the oriented graph restricted to `nodes`.
+    """Iterative Tarjan over matched variables, each value merged into its owner.
 
-    Node 2*var is a variable vertex and 2*val + 1 a value vertex; `nodes`
-    must be closed under the orientation (a union of connected components).
-    Maps each node to the root node of its strongly connected component.
+    Variable x has an arc to variable y when x has an unmatched edge to y's
+    matched value: the path x -> value -> y of the oriented graph with its
+    middle vertex contracted.  Every unmatched neighbour of a listed
+    variable must be matched to a listed variable (the list is closed under
+    the orientation).  Maps each variable to the root variable of its
+    strongly connected component; a value shares its owner's component.
     """
     adj_var = graph.adj_var
     pair_of_var = matching.pair_of_var
     pair_of_val = matching.pair_of_val
-
-    def successors(node: int) -> list[int]:
-        if node & 1:
-            owner = pair_of_val.get(node >> 1)
-            return [] if owner is None else [2 * owner]
-        matched = pair_of_var[node >> 1]
-        return [2 * val + 1 for val in adj_var[node >> 1] if val != matched]
-
     index: dict[int, int] = {}
     low: dict[int, int] = {}
     component: dict[int, int] = {}
     stack: list[int] = []
-    on_stack: set[int] = set()
-    for root in nodes:
+    for root in variables:
         if root in index:
             continue
         index[root] = low[root] = len(index)
         stack.append(root)
-        on_stack.add(root)
-        work = [(root, iter(successors(root)))]
+        work = [(root, pair_of_var[root], iter(adj_var[root]))]
         while work:
-            node, succ_iter = work[-1]
-            for nxt in succ_iter:
+            var, matched, vals = work[-1]
+            for val in vals:
+                if val == matched:
+                    continue
+                nxt = pair_of_val[val]
                 if nxt not in index:
                     index[nxt] = low[nxt] = len(index)
                     stack.append(nxt)
-                    on_stack.add(nxt)
-                    work.append((nxt, iter(successors(nxt))))
+                    work.append((nxt, pair_of_var[nxt], iter(adj_var[nxt])))
                     break
-                if nxt in on_stack and index[nxt] < low[node]:
-                    low[node] = index[nxt]
+                # visited but not yet in a component: still on the stack
+                if nxt not in component and index[nxt] < low[var]:
+                    low[var] = index[nxt]
             else:
                 work.pop()
                 if work:
                     parent = work[-1][0]
-                    if low[node] < low[parent]:
-                        low[parent] = low[node]
-                if low[node] == index[node]:
+                    if low[var] < low[parent]:
+                        low[parent] = low[var]
+                if low[var] == index[var]:
                     while True:
                         member = stack.pop()
-                        on_stack.discard(member)
-                        component[member] = node
-                        if member == node:
+                        component[member] = var
+                        if member == var:
                             break
     return component
 
@@ -382,9 +385,16 @@ def remove_edges_from_g(
 ) -> list[tuple[int, int]]:
     """Delete and return every edge that is in no matching covering X.
 
-    Kept edges are the matched ones, those on an alternating cycle (same
-    strongly connected component of the oriented graph) and those on an even
-    alternating path from a free value vertex.
+    Kept edges are the matched ones, those on an even alternating path from
+    a free value vertex (their value reaches a free value in the oriented
+    graph) and those on an alternating cycle (both ends in one strongly
+    connected component).  The search from the free values runs first; the
+    strongly connected components are then found only among the variables
+    whose value does not reach a free value, and only the edges to values
+    that do not reach one are swept.  That is exact: a vertex that reaches a
+    free value shares no component with one that does not, and every value
+    that does not reach one is matched, to a variable of that same closed
+    set.
 
     Without `seeds` the whole graph is filtered, in O(m + p + d).  With
     seeds, the variables a change touched, only their connected component is
@@ -405,36 +415,36 @@ def remove_edges_from_g(
         if var not in pair_of_var:
             raise UncoveredVariable(f"variable {var} is not covered")
 
-    nodes = [2 * var for var in variables] + [2 * val + 1 for val in values]
-    component = _strong_components(graph, matching, nodes)
-    visits += len(component)
-
-    # Even alternating paths from free value vertices: walk the transposed
-    # orientation (unmatched val->var, matched var->val).
+    # Values that reach a free value: walk the transposed orientation
+    # (unmatched val->var, matched var->val) from the free ones.  A matched
+    # value is reached only through its owner, so no owner is met twice.
     reached_vals = {val for val in values if val not in pair_of_val}
-    seen_vars: set[int] = set()
+    reached_vars: set[int] = set()
     frontier = list(reached_vals)
     while frontier:
         val = frontier.pop()
         visits += 1
-        for var in adj_val[val]:
-            matched_val = pair_of_var[var]
-            if var in seen_vars or matched_val == val:
-                continue
-            seen_vars.add(var)
+        for var in adj_val[val] - reached_vars:
+            reached_vars.add(var)
             visits += 1
-            if matched_val not in reached_vals:
-                reached_vals.add(matched_val)
-                frontier.append(matched_val)
+            matched_val = pair_of_var[var]
+            reached_vals.add(matched_val)
+            frontier.append(matched_val)
+
+    component = _strong_components(
+        graph, matching, [var for var in variables if var not in reached_vars]
+    )
+    visits += len(component)
 
     removed: list[tuple[int, int]] = []
     for var in variables:
+        rest = adj_var[var] - reached_vals
+        if not rest:
+            continue
         matched = pair_of_var[var]
-        own = component[2 * var]
-        for val in adj_var[var]:
-            if val == matched or val in reached_vals:
-                continue
-            if component[2 * val + 1] != own:
+        own = component.get(var)  # None when var's value reaches a free one
+        for val in rest:
+            if val != matched and component[pair_of_val[val]] != own:
                 removed.append((var, val))
     removed.sort()
     for var, val in removed:

@@ -23,6 +23,7 @@ from .errors import (
     DomainWipeout,
     EmptyDomain,
     InitFailure,
+    KernelError,
     NonLifoPop,
     NotDeactivated,
     UnknownVariable,
@@ -57,7 +58,6 @@ class ConstraintHandle:
 
 
 class _Frame:
-    kind = "marker"
     cells = 1
 
     def undo(self, store: "Store") -> None:
@@ -65,7 +65,6 @@ class _Frame:
 
 
 class _Marker(_Frame):
-    kind = "marker"
     cells = 1
 
     def __init__(self, token: CheckpointToken):
@@ -76,7 +75,6 @@ class _Marker(_Frame):
 
 
 class _VarAdded(_Frame):
-    kind = "domain-delta"
     cells = 2
 
     def __init__(self, var: int):
@@ -92,7 +90,6 @@ class _VarAdded(_Frame):
 
 
 class _ValueRemoved(_Frame):
-    kind = "domain-delta"
     cells = 2
 
     def __init__(self, var: int, value: int):
@@ -104,7 +101,6 @@ class _ValueRemoved(_Frame):
 
 
 class _FailedFlag(_Frame):
-    kind = "domain-delta"
     cells = 1
 
     def undo(self, store):
@@ -112,7 +108,6 @@ class _FailedFlag(_Frame):
 
 
 class _Posted(_Frame):
-    kind = "constraint-activation"
     cells = 2
 
     def __init__(self, handle: ConstraintHandle):
@@ -127,8 +122,6 @@ class _Posted(_Frame):
 
 
 class _Deactivated(_Frame):
-    kind = "constraint-activation"
-
     def __init__(self, handle: ConstraintHandle, snapshot, cells: int):
         self.handle = handle
         self.snapshot = snapshot
@@ -141,7 +134,6 @@ class _Deactivated(_Frame):
 
 
 class _Reactivated(_Frame):
-    kind = "constraint-activation"
     cells = 2
 
     def __init__(self, handle: ConstraintHandle, snapshot):
@@ -155,7 +147,6 @@ class _Reactivated(_Frame):
 
 
 class _WatcherAdded(_Frame):
-    kind = "constraint-activation"
     cells = 2
 
     def __init__(self, handle: ConstraintHandle, var: int):
@@ -171,8 +162,6 @@ class _WatcherAdded(_Frame):
 
 class _DomainsPushed(_Frame):
     """Eager whole-domain copies: the re-posting baseline's duplication cost."""
-
-    kind = "domain-delta"
 
     def __init__(self, variables: list[int], copies: list[set[int]]):
         self.variables = variables
@@ -391,3 +380,18 @@ class Store:
             self.failed,
         )
         return hashlib.sha256(repr(state).encode()).hexdigest()
+
+    def validate(self) -> None:
+        """Raise KernelError unless the store's structures agree.
+
+        The watcher lists and the handles' `watched_vars` must name the same
+        (variable, constraint) pairs, and every active propagator's own
+        `validate(store)` must pass.
+        """
+        watching = sorted((v, cid) for v, cids in self.watchers.items() for cid in cids)
+        watched = sorted((v, h.id) for h in self.constraints for v in h.watched_vars)
+        if watching != watched:
+            raise KernelError("watchers and watched_vars disagree")
+        for handle in self.constraints:
+            if handle.active:
+                handle.propagator.validate(self)

@@ -13,7 +13,7 @@ from dynalldiff.errors import (
 )
 from dynalldiff.matching import graph_checksum
 from dynalldiff.oracle import all_values_distinct, gac_filter_bruteforce
-from dynalldiff.store import Store
+from dynalldiff.store import Store, _FailedFlag, _ValueRemoved
 
 A, B, C, D, E = 0, 1, 2, 3, 4
 
@@ -70,8 +70,11 @@ def test_init_disjoint_singletons_no_removals():
     x2 = store.add_variable({B})
     trail_before = store.trail_depth
     post_alldiff(store, [x1, x2])
-    kinds = [f.kind for f in store.trail[trail_before:]]
-    assert "domain-delta" not in kinds  # nothing was filtered
+    pushed = store.trail[trail_before:]
+    # nothing was filtered and nothing failed
+    assert not any(isinstance(f, (_ValueRemoved, _FailedFlag)) for f in pushed)
+    assert store.domain(x1) == {A}
+    assert store.domain(x2) == {B}
 
 
 def test_propagate_unmatched_edge_fast_path_no_augmenting():

@@ -1,0 +1,186 @@
+"""The edge filter against an independent reference, at realistic sizes.
+
+The reference keeps edge (x, a) iff some matching that covers every
+variable has x = a.  It finds one covering matching with Kuhn's augmenting
+search, then, for each edge off that matching, gives a to x and re-augments
+the one variable that lost a.  It shares no code with the filter's strongly
+connected components, its free-value search or Hopcroft-Karp.
+
+The graphs mix a Hall set (variables confined to as many values) with a
+region that reaches free values, at up to 35 variables, and include
+Latin-style rows and columns over 30 values.  Both the whole-graph filter
+and the seeded one (after an adoption or a deletion on a filtered graph)
+must keep exactly the reference's edges.
+"""
+
+import random
+
+import pytest
+
+from dynalldiff.matching import (
+    build_value_graph,
+    compute_maximum_matching,
+    matching_covering_x,
+    remove_edges,
+    remove_edges_from_g,
+)
+
+
+def _kuhn(var, domains, owner, tried):
+    """Give `var` a value, rerouting owners of values not in `tried`."""
+    for val in sorted(domains[var]):
+        if val in tried:
+            continue
+        tried.add(val)
+        if val not in owner or _kuhn(owner[val], domains, owner, tried):
+            owner[val] = var
+            return True
+    return False
+
+
+def supported_edges(domains):
+    """Edges (x, a) with x = a in some matching covering X; None if none covers."""
+    owner = {}
+    for var in domains:
+        if not _kuhn(var, domains, owner, set()):
+            return None
+    value_of = {var: val for val, var in owner.items()}
+    kept = set()
+    for var, dom in domains.items():
+        for val in dom:
+            forced = dict(owner)
+            del forced[value_of[var]]
+            displaced = forced.get(val)
+            forced[val] = var
+            # x holds only a now, and a is never tried again, so x stays put
+            if displaced is None or _kuhn(displaced, domains, forced, {val}):
+                kept.add((var, val))
+    return kept
+
+
+def domains_of(graph):
+    return {var: set(vals) for var, vals in graph.adj_var.items()}
+
+
+def edge_set(graph):
+    return {(var, val) for var, vals in graph.adj_var.items() for val in vals}
+
+
+def hall_graph(rng, p, free):
+    """p variables over p + free values, covered, the first ones a Hall set."""
+    values = list(range(p + free))
+    rng.shuffle(values)
+    hall = rng.randint(0, p // 2)
+    domains = {}
+    for var in range(p):
+        pool = values[:hall] if var < hall else values
+        extra = rng.sample(pool, min(len(pool), rng.randint(0, 4)))
+        domains[var] = {values[var], *extra}  # values[var]: a planted matching
+    return domains
+
+
+def latin_line(rng, cells, free):
+    """One row or column of a 30 x 30 Latin square, `cells` - free of its cells.
+
+    Each cell keeps its square value plus up to three others; the omitted
+    cells leave their values free.
+    """
+    symbol = list(range(30))
+    rng.shuffle(symbol)
+    shift = rng.randrange(30)
+    kept = rng.sample(range(cells), cells - free)
+    return {
+        cell: {symbol[(shift + cell) % 30], *rng.sample(range(30), rng.randint(0, 3))}
+        for cell in kept
+    }
+
+
+def check_whole_graph(domains):
+    expected = supported_edges(domains)
+    graph = build_value_graph(sorted(domains.items()))
+    matching = compute_maximum_matching(graph)
+    assert matching.size == len(domains)
+    before = edge_set(graph)
+    removed = remove_edges_from_g(graph, matching)
+    assert edge_set(graph) == expected
+    assert removed == sorted(before - expected)
+    return graph, matching
+
+
+def check_adoption(domains, var):
+    """Filter all but `var`, adopt it, and filter from it as the seed."""
+    graph, matching = check_whole_graph({v: d for v, d in domains.items() if v != var})
+    for val in sorted(domains[var]):
+        graph.add_edge(var, val)
+    expected = supported_edges(domains_of(graph))
+    if matching_covering_x(graph, matching, uncovered=[var]) is None:
+        assert expected is None
+        return
+    remove_edges_from_g(graph, matching, seeds=[var])
+    assert edge_set(graph) == expected
+
+
+def check_deletion(domains, rng):
+    """Filter, delete some edges of one variable, and filter from it as the seed."""
+    graph, matching = check_whole_graph(domains)
+    open_vars = [var for var, vals in graph.adj_var.items() if len(vals) > 1]
+    if not open_vars:
+        return
+    var = rng.choice(open_vars)
+    vals = sorted(graph.adj_var[var])
+    doomed = [(var, val) for val in rng.sample(vals, rng.randint(1, len(vals) - 1))]
+    remove_edges(graph, matching, doomed)
+    expected = supported_edges(domains_of(graph))
+    if matching_covering_x(graph, matching, uncovered=[var]) is None:
+        assert expected is None
+        return
+    remove_edges_from_g(graph, matching, seeds=[var])
+    assert edge_set(graph) == expected
+
+
+def test_reference_on_a_forced_value():
+    # x0, x1 in {0, 1} take both values, so x2 in {0, 1, 2} is forced to 2
+    domains = {0: {0, 1}, 1: {0, 1}, 2: {0, 1, 2}}
+    assert supported_edges(domains) == {(0, 0), (0, 1), (1, 0), (1, 1), (2, 2)}
+    assert supported_edges({0: {0}, 1: {0}}) is None
+
+
+@pytest.mark.parametrize("free", [0, 1, 4])
+def test_hall_graphs_match_reference(free):
+    rng = random.Random(100 + free)
+    for p in range(2, 36):
+        for _ in range(3):
+            domains = hall_graph(rng, p, free)
+            check_whole_graph(domains)
+            check_adoption(domains, rng.randrange(p))
+            check_deletion(domains, rng)
+
+
+@pytest.mark.parametrize("free", [0, 6])
+def test_latin_lines_match_reference(free):
+    rng = random.Random(200 + free)
+    for _ in range(20):
+        domains = latin_line(rng, 30, free)
+        check_whole_graph(domains)
+        check_adoption(domains, rng.choice(sorted(domains)))
+        check_deletion(domains, rng)
+
+
+def test_hall_graphs_prune_and_keep():
+    # the generated graphs must exercise every kept and every removed kind
+    rng = random.Random(7)
+    seen = set()
+    for p in range(10, 36):
+        domains = hall_graph(rng, p, 3)
+        graph = build_value_graph(sorted(domains.items()))
+        matching = compute_maximum_matching(graph)
+        if remove_edges_from_g(graph, matching):
+            seen.add("removed")
+        free = set(graph.adj_val) - set(matching.pair_of_val)
+        for var, vals in graph.adj_var.items():
+            for val in vals:
+                if val in free:
+                    seen.add("kept by a free value")
+                elif matching.pair_of_var[var] != val:
+                    seen.add("kept, to a matched value")
+    assert seen == {"removed", "kept by a free value", "kept, to a matched value"}

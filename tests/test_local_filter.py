@@ -10,11 +10,12 @@ import copy
 import random
 import statistics
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dynalldiff.alldiff import AllDifferent
-from dynalldiff.errors import DomainWipeout, InitFailure
+from dynalldiff.errors import DomainWipeout, InitFailure, KernelError
 from dynalldiff.matching import remove_edges_from_g
 from dynalldiff.store import Store
 
@@ -77,6 +78,7 @@ def replay(store, lines, steps):
             store.remove_value(var, values[value_pick % len(values)])
             store.propagate_fixpoint()
         if not store.failed:
+            store.validate()
             assert_filtered(store)
 
 
@@ -134,6 +136,48 @@ def test_deletion_that_splits_a_component():
     assert_filtered(store)
     store.pop_checkpoint(token)
     assert prop.matching.pair_of_var == {x: a, y: b, z: c}
+
+
+def _drop_domain_value(store, prop):
+    store.domains[0].discard(max(prop.graph.adj_var[0]))  # the graph still has it
+
+
+def _unmatch(store, prop):
+    prop.matching.unmatch(0, prop.matching.pair_of_var[0])
+
+
+def _match_off_graph(store, prop):
+    free = next(v for v in store.domains[0] if v not in prop.matching.pair_of_val)
+    prop.graph.remove_edge(0, free)
+    prop.matching.unmatch(0, prop.matching.pair_of_var[0])
+    prop.matching.match(0, free)
+
+
+def _drop_watcher(store, prop):
+    store.watchers[1].remove(prop.handle_id)
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (_drop_domain_value, "outside its domain"),
+        (_unmatch, "does not cover"),
+        (_match_off_graph, "is not an edge"),
+        (_drop_watcher, "watchers and watched_vars disagree"),
+    ],
+)
+def test_validate_rejects_a_corrupted_copy(corrupt, message):
+    store = Store()
+    cells = [store.add_variable(range(4)) for _ in range(3)]
+    store.post_constraint(AllDifferent(cells[:2]))
+    prop = store.post_constraint(AllDifferent(cells)).propagator
+    assert store.propagate_fixpoint()
+    store.validate()
+    broken = copy.deepcopy(store)
+    corrupt(broken, broken.constraints[prop.handle_id].propagator)
+    with pytest.raises(KernelError, match=message):
+        broken.validate()
+    store.validate()  # the original is untouched
 
 
 def test_filter_visits_per_adoption_flat_on_disjoint_blocks():
