@@ -6,7 +6,7 @@ the generic deactivate-and-repost dynamization baseline, brute-force
 oracles, and a benchmark CLI comparing the two methods' operation counts.
 """
 
-from .alldiff import AdoptionRecord, AllDifferent
+from .alldiff import AllDifferent
 from .errors import (
     AlreadyInactive,
     DomainWipeout,
@@ -17,7 +17,6 @@ from .errors import (
     KernelError,
     LifoViolation,
     NonLifoPop,
-    NonLifoRetract,
     NotDeactivated,
     ParseError,
     TooLarge,
@@ -56,7 +55,6 @@ from .scenario import (
 from .store import CheckpointToken, ConstraintHandle, Store
 
 __all__ = [
-    "AdoptionRecord",
     "AllDifferent",
     "AlreadyInactive",
     "CheckpointToken",
@@ -72,7 +70,6 @@ __all__ = [
     "Matching",
     "MonotonicityWitness",
     "NonLifoPop",
-    "NonLifoRetract",
     "NotDeactivated",
     "OpCounters",
     "ParseError",

@@ -16,16 +16,19 @@ its cost follows the size of the touched component, not of the whole graph:
   variables), extends the matching in place from them, and re-filters
   their component.
 
-The matching's flips are logged as they happen, and the trail frames and
-adoption records are built from that log.  Every adoption is captured in a
-record whose inverse restores the exact pre-adoption state.
+Each deletion or adoption puts one `Delta` on the store's trail before it
+changes anything, and logs every change into it as the change happens, so
+`pop_checkpoint` restores the exact earlier state, even after an exception
+in the middle of the call.  An adoption trails only its own vertices and
+edges, the flips of its augmenting path and the edges its re-filter removed,
+never a copy of the graph.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Optional
 
-from .errors import DomainWipeout, DuplicateVariable, KernelError, NonLifoRetract
+from .errors import DomainWipeout, DuplicateVariable, KernelError
 from .matching import (
     Matching,
     ValueGraph,
@@ -38,88 +41,48 @@ from .matching import (
 )
 
 
-class AdoptionRecord:
-    """Reversible log of one add_variables call (LIFO retraction unit)."""
+class Delta:
+    """The trail frame of one adoption or deletion: its changes, in order.
+
+    Flips are (var, previous value or None), as `matching_covering_x` logs
+    them.  The frame's own 2 cells are counted when it is pushed, and
+    `close` counts the changes: 1 per added vertex, 2 per added or removed
+    edge, 3 per flip.
+    """
 
     __slots__ = (
-        "added_vars",
-        "added_val_vertices",
-        "added_edges",
-        "matching_delta",
-        "filtered_edges",
-        "retracted",
+        "propagator", "var_vertices", "val_vertices", "added", "flips", "removed"
     )
+    cells = 2
 
-    def __init__(self):
-        self.added_vars: list[int] = []
-        self.added_val_vertices: list[int] = []
-        self.added_edges: list[tuple[int, int]] = []
-        self.matching_delta: list[tuple[int, Optional[int], Optional[int]]] = []
-        self.filtered_edges: list[tuple[int, int]] = []
-        self.retracted = False
+    def __init__(self, propagator: AllDifferent):
+        self.propagator = propagator
+        self.var_vertices: list[int] = []
+        self.val_vertices: list[int] = []
+        self.added: list[tuple[int, int]] = []
+        self.flips: list[tuple[int, Optional[int]]] = []
+        self.removed: list[tuple[int, int]] = []
 
-    @property
-    def k(self) -> int:
-        return len(self.added_vars)
-
-    @property
-    def cells(self) -> int:
-        return (
-            2
-            + len(self.added_vars)
-            + len(self.added_val_vertices)
-            + 2 * len(self.added_edges)
-            + 3 * len(self.matching_delta)
-            + 2 * len(self.filtered_edges)
+    def close(self, counters) -> None:
+        counters.trailed_cells += (
+            len(self.var_vertices)
+            + len(self.val_vertices)
+            + 2 * (len(self.added) + len(self.removed))
+            + 3 * len(self.flips)
         )
 
-
-def _net_delta(matching: Matching, flips):
-    """(var, before, after) per variable the logged flips left changed."""
-    delta = []
-    # the first flip of each variable holds its value before the flips
-    for var, before in dict(reversed(flips)).items():
-        after = matching.pair_of_var.get(var)
-        if before != after:
-            delta.append((var, before, after))
-    delta.sort()
-    return delta
-
-
-class _EdgesRemovedFrame:
-    def __init__(self, propagator, entries):
-        # entries: (var, val, was_matched), in removal order
-        self.propagator = propagator
-        self.entries = entries
-        self.cells = 2 * len(entries)
-
-    def undo(self, store):
-        prop = self.propagator
-        for var, val, was_matched in reversed(self.entries):
-            prop.graph.add_edge(var, val)
-            if was_matched:
-                prop.matching.match(var, val)
-
-
-class _MatchingReplacedFrame:
-    def __init__(self, propagator, delta):
-        self.propagator = propagator
-        self.delta = delta
-        self.cells = 3 * len(delta)
-
-    def undo(self, store):
-        self.propagator.matching.assign((var, old) for var, old, _ in self.delta)
-
-
-class _AdoptionFrame:
-    def __init__(self, propagator, record: AdoptionRecord):
-        self.propagator = propagator
-        self.record = record
-        self.cells = record.cells
-
-    def undo(self, store):
-        # a manual retract_last may have run already; the undo is idempotent
-        self.propagator._undo_adoption(self.record)
+    def undo(self, store) -> None:
+        graph = self.propagator.graph
+        for var, val in self.removed:
+            graph.add_edge(var, val)  # a no-op for an edge a fault left in place
+        # the first flip of each variable holds its value before the call
+        self.propagator.matching.assign(dict(reversed(self.flips)).items())
+        for var, val in self.added:
+            graph.remove_edge(var, val)
+        for val in reversed(self.val_vertices):
+            graph.pop_val_vertex(val)
+        for var in reversed(self.var_vertices):
+            graph.pop_var_vertex(var)
 
 
 class AllDifferent:
@@ -133,7 +96,6 @@ class AllDifferent:
             raise DuplicateVariable("repeated variable in alldifferent")
         self.graph = ValueGraph()
         self.matching = Matching()
-        self.records: list[AdoptionRecord] = []
         self.handle_id: Optional[int] = None
 
     # -- store protocol ----------------------------------------------------
@@ -158,48 +120,35 @@ class AllDifferent:
         Edges already absent from the graph (filtered earlier by this very
         propagator) are skipped; they carry no new information.
         """
-        doomed = [(var, v) for v in sorted(values) if self.graph.has_edge(var, v)]
+        graph, matching = self.graph, self.matching
+        doomed = [(var, v) for v in sorted(values) if graph.has_edge(var, v)]
         if not doomed:
             return True
-        entries = [
-            (v, a, self.matching.pair_of_var.get(v) == a) for v, a in doomed
-        ]
-        damaged = remove_edges(self.graph, self.matching, doomed)
-        store.trail_push(_EdgesRemovedFrame(self, entries))
-        if damaged:
-            flips = []
-            covered = matching_covering_x(
-                self.graph, self.matching, store.counters, [var], flips
-            )
-            if covered is None:
+        delta = Delta(self)
+        store.trail_push(delta)
+        try:
+            delta.removed.extend(doomed)
+            matched = matching.pair_of_var.get(var)
+            if matched in values:  # remove_edges unmatches var: log it as a flip
+                delta.flips.append((var, matched))
+            if remove_edges(graph, matching, doomed) and matching_covering_x(
+                graph, matching, store.counters, [var], delta.flips
+            ) is None:
                 return False
-            store.trail_push(
-                _MatchingReplacedFrame(self, _net_delta(self.matching, flips))
-            )
-        filtered = remove_edges_from_g(
-            self.graph, self.matching, store.counters, seeds=[var]
-        )
-        if filtered:
-            store.trail_push(
-                _EdgesRemovedFrame(self, [(v, a, False) for v, a in filtered])
-            )
-            for v, a in filtered:
-                try:
-                    store.remove_value(v, a, cause=self.handle_id)
-                except DomainWipeout:
-                    # our graph was ahead of a still-queued deletion from a
-                    # sibling constraint; the branch is genuinely inconsistent
-                    return False
-        return True
+            filtered = remove_edges_from_g(graph, matching, store.counters, seeds=[var])
+            delta.removed.extend(filtered)
+        finally:
+            delta.close(store.counters)
+        return self._prune(store, filtered)
 
     # -- dynamic extension ---------------------------------------------------
 
     def add_variables(self, store, new_vars: Iterable[int]):
-        """Adopt new variables; returns (consistent, record).
+        """Adopt new variables; returns (consistent, the call's Delta).
 
         On success the matching covers the extended set and the re-filter's
         deletions are pushed to the store.  On failure the store branch is
-        marked failed and the record holds the graph additions only.
+        marked failed and the Delta holds the graph additions only.
         """
         batch = list(new_vars)
         fresh = set()
@@ -208,59 +157,40 @@ class AllDifferent:
             if var in fresh or self.graph.has_var(var):
                 raise DuplicateVariable(f"variable {var} already adopted")
             fresh.add(var)
-        record = AdoptionRecord()
-        for var in batch:
-            self.graph.add_var_vertex(var)
-            record.added_vars.append(var)
-            store.watch_variable(self.handle_id, var)
-            for val in sorted(store.domains[var]):
-                if self.graph.add_val_vertex(val):
-                    record.added_val_vertices.append(val)
-                self.graph.add_edge(var, val)
-                record.added_edges.append((var, val))
-        self.records.append(record)
-        flips = []
-        covered = matching_covering_x(
-            self.graph, self.matching, store.counters, batch, flips
-        )
-        if covered is None:
-            store.trail_push(_AdoptionFrame(self, record))
-            store._fail()
-            return False, record
-        record.matching_delta = _net_delta(self.matching, flips)
-        record.filtered_edges = remove_edges_from_g(
-            self.graph, self.matching, store.counters, seeds=batch
-        )
-        store.trail_push(_AdoptionFrame(self, record))
-        for var, val in record.filtered_edges:
-            try:
+        graph, matching = self.graph, self.matching
+        delta = Delta(self)
+        store.trail_push(delta)
+        try:
+            for var in batch:
+                graph.add_var_vertex(var)
+                delta.var_vertices.append(var)
+                store.watch_variable(self.handle_id, var)
+                for val in sorted(store.domains[var]):
+                    if graph.add_val_vertex(val):
+                        delta.val_vertices.append(val)
+                    graph.add_edge(var, val)
+                    delta.added.append((var, val))
+            if matching_covering_x(
+                graph, matching, store.counters, batch, delta.flips
+            ) is None:
+                store._fail()
+                return False, delta
+            filtered = remove_edges_from_g(graph, matching, store.counters, seeds=batch)
+            delta.removed.extend(filtered)
+        finally:
+            delta.close(store.counters)
+        return self._prune(store, filtered), delta
+
+    def _prune(self, store, filtered: list[tuple[int, int]]) -> bool:
+        """Remove the filtered edges' values from the domains; False on a wipeout."""
+        try:
+            for var, val in filtered:
                 store.remove_value(var, val, cause=self.handle_id)
-            except DomainWipeout:
-                return False, record
-        return True, record
-
-    def retract_last(self, record: AdoptionRecord) -> None:
-        """Undo the newest adoption; the graph checksum returns to its old value."""
-        if not self.records or self.records[-1] is not record or record.retracted:
-            raise NonLifoRetract("record is not the newest unretracted adoption")
-        self._undo_adoption(record)
-
-    def _undo_adoption(self, record: AdoptionRecord) -> None:
-        if record.retracted:
-            return
-        if not self.records or self.records[-1] is not record:
-            raise NonLifoRetract("adoption undone out of LIFO order")
-        for var, val in record.filtered_edges:
-            self.graph.add_edge(var, val)
-        self.matching.assign((var, old) for var, old, _ in record.matching_delta)
-        for var, val in reversed(record.added_edges):
-            self.graph.remove_edge(var, val)
-        for val in reversed(record.added_val_vertices):
-            self.graph.pop_val_vertex(val)
-        for var in reversed(record.added_vars):
-            self.graph.pop_var_vertex(var)
-        self.records.pop()
-        record.retracted = True
+        except DomainWipeout:
+            # our graph was ahead of a still-queued deletion from a sibling
+            # constraint; the branch is genuinely inconsistent
+            return False
+        return True
 
     # -- freezing and inspection ----------------------------------------------
 
@@ -272,8 +202,6 @@ class AllDifferent:
             self.graph.edge_count,
             dict(self.matching.pair_of_var),
             dict(self.matching.pair_of_val),
-            list(self.records),
-            [r.retracted for r in self.records],
         )
         p = len(snap[0])
         d = len(snap[1])
@@ -282,7 +210,7 @@ class AllDifferent:
         return snap, cells
 
     def restore(self, snap) -> None:
-        adj_var, adj_val, edge_count, pvar, pval, records, flags = snap
+        adj_var, adj_val, edge_count, pvar, pval = snap
         graph = ValueGraph()
         graph.adj_var = {v: set(s) for v, s in adj_var.items()}
         graph.adj_val = {a: set(s) for a, s in adj_val.items()}
@@ -292,9 +220,6 @@ class AllDifferent:
         matching.pair_of_var = dict(pvar)
         matching.pair_of_val = dict(pval)
         self.matching = matching
-        self.records = list(records)
-        for record, flag in zip(self.records, flags):
-            record.retracted = flag
 
     def state_digest(self) -> str:
         order = tuple(self.graph.adj_var)  # the variables in adoption order
@@ -303,11 +228,22 @@ class AllDifferent:
     def validate(self, store) -> None:
         """Raise KernelError unless graph, matching and store agree.
 
-        Every edge is in its variable's domain; the matching's two maps are
-        inverse, use graph edges only and cover every variable vertex; the
-        variable vertices are the variables this constraint watches.
+        The variable vertices are the variables this constraint watches;
+        `edge_count` counts the edges and `adj_val` is `adj_var` transposed;
+        every edge is in its variable's domain; the matching's two maps are
+        inverse, use graph edges only and cover every variable vertex.
         """
         graph, matching = self.graph, self.matching
+        if set(graph.adj_var) != set(store.constraints[self.handle_id].watched_vars):
+            raise KernelError("graph variables differ from the watched ones")
+        edges = {(var, val) for var, vals in graph.adj_var.items() for val in vals}
+        if graph.edge_count != len(edges):
+            raise KernelError(f"edge count {graph.edge_count} but {len(edges)} edges")
+        transposed = {
+            (var, val) for val, vars_ in graph.adj_val.items() for var in vars_
+        }
+        if edges != transposed:
+            raise KernelError("adj_val is not the transpose of adj_var")
         for var, vals in graph.adj_var.items():
             if not vals <= store.domains[var]:
                 raise KernelError(f"edges of variable {var} outside its domain")
@@ -318,5 +254,3 @@ class AllDifferent:
                 raise KernelError(f"matched pair ({var}, {val}) is not an edge")
         if not matching.covers(graph.adj_var):
             raise KernelError("matching does not cover the variables")
-        if set(graph.adj_var) != set(store.constraints[self.handle_id].watched_vars):
-            raise KernelError("graph variables differ from the watched ones")

@@ -136,7 +136,7 @@ class DynamicEngine(_EngineBase):
             self.propagator = handle.propagator
         else:
             kind = "adopted"
-            ok, _record = self.propagator.add_variables(self.store, [var])
+            ok, _delta = self.propagator.add_variables(self.store, [var])
             ok = ok and self.store.propagate_fixpoint()
         self.live.append((name, var))
         self.add_stack.append(_AddEntry(step_index, checksum, kind, token))

@@ -45,10 +45,6 @@ class EmptyHistory(KernelError):
     """remove_variable on a dynamization wrapper with no recorded additions."""
 
 
-class NonLifoRetract(KernelError):
-    """retract_last called with a record that is not the newest unretracted one."""
-
-
 class UncoveredVariable(KernelError):
     """remove_edges_from_g called with a matching that misses a variable."""
 

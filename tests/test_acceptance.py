@@ -95,7 +95,7 @@ def test_criterion_02_late_adoption_reproduction():
     prop = store.constraints[handle.id].propagator
     x4 = store.add_variable({C, D})
     x5 = store.add_variable({D, E})
-    ok, _record = prop.add_variables(store, [x4, x5])
+    ok, _delta = prop.add_variables(store, [x4, x5])
     assert ok and store.propagate_fixpoint()
 
     # no previously filtered edge reappears

@@ -5,12 +5,7 @@ import random
 import pytest
 
 from dynalldiff.alldiff import AllDifferent
-from dynalldiff.errors import (
-    DomainWipeout,
-    DuplicateVariable,
-    InitFailure,
-    NonLifoRetract,
-)
+from dynalldiff.errors import DomainWipeout, DuplicateVariable, InitFailure
 from dynalldiff.matching import graph_checksum
 from dynalldiff.oracle import all_values_distinct, gac_filter_bruteforce
 from dynalldiff.store import Store, _FailedFlag, _ValueRemoved
@@ -127,7 +122,7 @@ def test_adopt_late_arrivals_extension():
     prop = store.constraints[handle.id].propagator
     x4 = store.add_variable({C, D})
     x5 = store.add_variable({D, E})
-    ok, record = prop.add_variables(store, [x4, x5])
+    ok, delta = prop.add_variables(store, [x4, x5])
     assert ok
     assert store.propagate_fixpoint() is True
     # previously filtered edges are absent from the extended graph
@@ -140,7 +135,7 @@ def test_adopt_late_arrivals_extension():
     # x4=C would leave x3 unmatched
     assert store.domain(x4) == {D}
     assert store.domain(x5) == {E}
-    assert record.k == 2
+    assert delta.var_vertices == [x4, x5]
 
 
 def test_adopt_locality_new_edges_touch_only_new_vars():
@@ -148,27 +143,27 @@ def test_adopt_locality_new_edges_touch_only_new_vars():
     prop = store.constraints[handle.id].propagator
     x4 = store.add_variable({C, D})
     x5 = store.add_variable({D, E})
-    _ok, record = prop.add_variables(store, [x4, x5])
-    assert {var for var, _val in record.added_edges} == {x4, x5}
+    _ok, delta = prop.add_variables(store, [x4, x5])
+    assert {var for var, _val in delta.added} == {x4, x5}
 
 
 def test_adopt_single_value_pigeonhole_fails():
     store, handle, _vars = triple_store()
     prop = store.constraints[handle.id].propagator
     x4 = store.add_variable({C})
-    ok, record = prop.add_variables(store, [x4])
+    ok, delta = prop.add_variables(store, [x4])
     assert ok is False
     assert store.failed
-    assert record.matching_delta == [] and record.filtered_edges == []
+    assert delta.flips == [] and delta.removed == []
 
 
 def test_adopt_private_value_zero_filtered():
     store, handle, _vars = triple_store()
     prop = store.constraints[handle.id].propagator
     x4 = store.add_variable({D})
-    ok, record = prop.add_variables(store, [x4])
+    ok, delta = prop.add_variables(store, [x4])
     assert ok
-    assert record.filtered_edges == []
+    assert delta.removed == []
 
 
 def test_adopt_duplicate_variable_rejected():
@@ -184,9 +179,10 @@ def test_retract_restores_checksum():
     digest = graph_checksum(prop.graph, prop.matching)
     x4 = store.add_variable({C, D})
     x5 = store.add_variable({D, E})
-    _ok, record = prop.add_variables(store, [x4, x5])
+    token = store.push_checkpoint()
+    prop.add_variables(store, [x4, x5])
     assert graph_checksum(prop.graph, prop.matching) != digest
-    prop.retract_last(record)
+    store.pop_checkpoint(token)
     assert graph_checksum(prop.graph, prop.matching) == digest
 
 
@@ -200,40 +196,28 @@ def test_adoption_along_chain_longer_than_recursion_limit(links):
     before = store.checksum()
     y = store.add_variable({0})
     token = store.push_checkpoint()
-    ok, record = prop.add_variables(store, [y])
+    ok, delta = prop.add_variables(store, [y])
     assert ok and store.propagate_fixpoint()
     assert all(store.domain(x) == {i + 1} for i, x in enumerate(chain))
-    assert len(record.matching_delta) == links + 1
+    assert len(delta.flips) == links + 1
     store.pop_checkpoint(token)
     store.retract_last_variable()
     assert store.checksum() == before
-    assert prop.records == []
-
-
-def test_retract_stale_record_rejected():
-    store, handle, _vars = triple_store()
-    prop = store.constraints[handle.id].propagator
-    x4 = store.add_variable({D})
-    _ok, first = prop.add_variables(store, [x4])
-    x5 = store.add_variable({E})
-    _ok, second = prop.add_variables(store, [x5])
-    with pytest.raises(NonLifoRetract):
-        prop.retract_last(first)
-    prop.retract_last(second)
-    with pytest.raises(NonLifoRetract):
-        prop.retract_last(second)
-    prop.retract_last(first)
 
 
 def test_retract_after_failed_adoption():
     store, handle, _vars = triple_store()
     prop = store.constraints[handle.id].propagator
     digest = graph_checksum(prop.graph, prop.matching)
+    before = store.checksum()
     x4 = store.add_variable({C})
-    ok, record = prop.add_variables(store, [x4])
+    token = store.push_checkpoint()
+    ok, _delta = prop.add_variables(store, [x4])
     assert not ok
-    prop.retract_last(record)
+    store.pop_checkpoint(token)
+    store.retract_last_variable()
     assert graph_checksum(prop.graph, prop.matching) == digest
+    assert store.checksum() == before
 
 
 def test_adoption_after_failed_adoption_stays_inconsistent():
@@ -244,9 +228,9 @@ def test_adoption_after_failed_adoption_stays_inconsistent():
     x4 = store.add_variable({C})
     assert not prop.add_variables(store, [x4])[0]
     x5 = store.add_variable({D})
-    ok, record = prop.add_variables(store, [x5])
+    ok, delta = prop.add_variables(store, [x5])
     assert not ok
-    assert record.matching_delta == [] and record.filtered_edges == []
+    assert delta.flips == [] and delta.removed == []
     assert x4 not in prop.matching.pair_of_var
 
 
@@ -318,7 +302,7 @@ def test_incremental_equals_scratch_random_splits():
             store.propagate_fixpoint()
             prop = store.constraints[handle.id].propagator
             suffix = [store.add_variable(set(dom)) for dom in domains[split:]]
-            ok, _record = prop.add_variables(store, suffix)
+            ok, _delta = prop.add_variables(store, suffix)
             ok = ok and store.propagate_fixpoint()
             if scratch is None:
                 assert not ok

@@ -157,6 +157,18 @@ def _drop_watcher(store, prop):
     store.watchers[1].remove(prop.handle_id)
 
 
+def _adopt_unknown_variable(store, prop):
+    prop.graph.add_edge(len(store.domains), 0)  # a variable with no domain
+
+
+def _miscount_edges(store, prop):
+    prop.graph.edge_count += 1
+
+
+def _drop_transposed_edge(store, prop):
+    prop.graph.adj_val[prop.matching.pair_of_var[0]].discard(0)
+
+
 @pytest.mark.parametrize(
     "corrupt, message",
     [
@@ -164,6 +176,9 @@ def _drop_watcher(store, prop):
         (_unmatch, "does not cover"),
         (_match_off_graph, "is not an edge"),
         (_drop_watcher, "watchers and watched_vars disagree"),
+        (_adopt_unknown_variable, "differ from the watched ones"),
+        (_miscount_edges, "edge count"),
+        (_drop_transposed_edge, "not the transpose"),
     ],
 )
 def test_validate_rejects_a_corrupted_copy(corrupt, message):

@@ -1,0 +1,206 @@
+"""Exact trail restoration: after a fault mid-call, and under random interleavings.
+
+A propagator call puts its one undo frame on the trail before it changes
+anything, so popping the checkpoint restores the store even when the call
+raised half-way.  The state machine replays push, pop, ADD and DEL on the
+dynamic engine and the re-posting baseline side by side and checks them
+against each other, against `Store.validate` and against the brute-force
+oracle after every step.
+"""
+
+import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    precondition,
+    rule,
+)
+
+import dynalldiff.alldiff
+from dynalldiff.alldiff import AllDifferent
+from dynalldiff.generic import GenericDynamizer
+from dynalldiff.oracle import all_values_distinct, gac_filter_bruteforce
+from dynalldiff.store import Store
+
+LINKS = 5
+
+
+class Fault(Exception):
+    """Raised by a stand-in for a matching function in the middle of a call."""
+
+
+def _after_the_real_call(real):
+    def stand_in(*args, **kwargs):
+        real(*args, **kwargs)
+        raise Fault(real.__name__)
+
+    return stand_in
+
+
+def _instead_of_the_call(real):
+    def stand_in(*args, **kwargs):
+        raise Fault(real.__name__)
+
+    return stand_in
+
+
+def chain_store():
+    """x_i in {i, i+1}, matched x_i = i; value LINKS is free."""
+    store = Store()
+    chain = [store.add_variable({i, i + 1}) for i in range(LINKS)]
+    prop = store.post_constraint(AllDifferent(chain)).propagator
+    assert store.propagate_fixpoint()
+    return store, prop, chain
+
+
+def adopt(store, prop, chain):
+    # y in {0} shifts every x_i up one value, then the filter pins them
+    y = store.add_variable({0})
+    token = store.push_checkpoint()
+    return token, lambda: (
+        prop.add_variables(store, [y])[0] and store.propagate_fixpoint()
+    )
+
+
+def delete(store, prop, chain):
+    # x0 loses its matched value 0: the repair shifts every x_i up one value
+    token = store.push_checkpoint()
+    return token, lambda: (
+        store.remove_value(chain[0], 0) and store.propagate_fixpoint()
+    )
+
+
+@pytest.mark.parametrize("step", [adopt, delete])
+@pytest.mark.parametrize(
+    "name, fault",
+    [
+        ("matching_covering_x", _after_the_real_call),
+        ("matching_covering_x", _instead_of_the_call),
+        ("remove_edges_from_g", _instead_of_the_call),
+    ],
+)
+def test_pop_restores_the_store_after_a_fault(monkeypatch, step, name, fault):
+    store, prop, chain = chain_store()
+    before = store.checksum()
+    token, run = step(store, prop, chain)
+    monkeypatch.setattr(
+        dynalldiff.alldiff, name, fault(getattr(dynalldiff.alldiff, name))
+    )
+    with pytest.raises(Fault):
+        run()
+    monkeypatch.undo()
+    store.pop_checkpoint(token)
+    if step is adopt:
+        store.retract_last_variable()
+    assert store.checksum() == before
+    store.validate()
+    # the restored store runs the step as a fresh one does
+    fresh, fresh_prop, fresh_chain = chain_store()
+    assert step(store, prop, chain)[1]() is True
+    assert step(fresh, fresh_prop, fresh_chain)[1]() is True
+    assert store.checksum() == fresh.checksum()
+    assert all(store.domain(x) == {i + 1} for i, x in enumerate(chain))
+
+
+VALUES = 6
+DOMAINS = st.frozensets(st.integers(0, VALUES - 1), min_size=1, max_size=4)
+
+
+class TwoEngines(RuleBasedStateMachine):
+    """One alldifferent grown by adoption next to the deactivate-and-repost one.
+
+    Both stores get the same variables in the same order, so ids match.
+    Every ADD runs in its own checkpoint (the wrapper pushes its own), and
+    POP undoes the newest ADD or push, checking that both stores return to
+    their checksums from before it.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.dynamic = Store()
+        self.generic = Store()
+        self.wrapper = GenericDynamizer(self.generic, AllDifferent)
+        self.prop = None  # the dynamic engine's propagator, once posted
+        self.undo = []  # (dynamic token or None, generic token or None, checksums)
+
+    def checksums(self):
+        return self.dynamic.checksum(), self.generic.checksum()
+
+    @initialize(domains=st.lists(DOMAINS, max_size=VALUES - 1))
+    def start(self, domains):
+        # a few ADDs first, so that pops do not keep the machine near empty
+        for domain in domains:
+            if not self.dynamic.failed:
+                self.add(domain)
+
+    @precondition(lambda self: not self.dynamic.failed)
+    @rule(domain=DOMAINS)
+    def add(self, domain):
+        before = self.checksums()
+        var = self.dynamic.add_variable(domain)
+        token = self.dynamic.push_checkpoint()
+        if self.prop is None:
+            self.prop = self.dynamic.post_constraint(AllDifferent([var])).propagator
+            self.dynamic.propagate_fixpoint()
+        elif self.prop.add_variables(self.dynamic, [var])[0]:
+            self.dynamic.propagate_fixpoint()
+        self.generic.add_variable(domain)
+        self.wrapper.add_variable(var)
+        self.undo.append((token, None, before))
+
+    @precondition(
+        lambda self: not self.dynamic.failed
+        and any(len(dom) > 1 for dom in self.dynamic.domains)
+    )
+    @rule(pick=st.integers(0, 2**16), value_pick=st.integers(0, 2**16))
+    def delete(self, pick, value_pick):
+        open_vars = [v for v, dom in enumerate(self.dynamic.domains) if len(dom) > 1]
+        var = open_vars[pick % len(open_vars)]
+        values = sorted(self.dynamic.domains[var])
+        value = values[value_pick % len(values)]
+        for store in (self.dynamic, self.generic):
+            store.remove_value(var, value)
+            store.propagate_fixpoint()
+
+    @rule()
+    def push(self):
+        before = self.checksums()
+        self.undo.append(
+            (self.dynamic.push_checkpoint(), self.generic.push_checkpoint(), before)
+        )
+
+    @precondition(lambda self: self.undo)
+    @rule()
+    def pop(self):
+        dynamic_token, generic_token, before = self.undo.pop()
+        self.dynamic.pop_checkpoint(dynamic_token)
+        if generic_token is None:  # an ADD
+            self.dynamic.retract_last_variable()
+            self.wrapper.remove_variable()
+            self.generic.retract_last_variable()
+            if not self.dynamic.domains:
+                self.prop = None
+        else:
+            self.generic.pop_checkpoint(generic_token)
+        assert self.checksums() == before
+
+    @invariant()
+    def engines_agree(self):
+        assert self.dynamic.failed == self.generic.failed
+        if self.dynamic.failed:
+            return  # a failed branch's domains depend on where each engine stopped
+        assert self.dynamic.domains == self.generic.domains
+        self.dynamic.validate()
+        self.generic.validate()
+        # at most VALUES variables on a consistent branch: within the oracle's cap
+        domains = self.dynamic.domains
+        assert gac_filter_bruteforce(all_values_distinct, domains) == domains
+
+
+TestTwoEngines = TwoEngines.TestCase
+TestTwoEngines.settings = settings(
+    max_examples=100, stateful_step_count=30, deadline=None, derandomize=True
+)
