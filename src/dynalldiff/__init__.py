@@ -17,7 +17,6 @@ from .errors import (
     KernelError,
     LifoViolation,
     NonLifoPop,
-    NotDeactivated,
     ParseError,
     TooLarge,
     UncoveredVariable,
@@ -30,7 +29,6 @@ from .matching import (
     Matching,
     OpCounters,
     ValueGraph,
-    add_edges,
     build_value_graph,
     compute_maximum_matching,
     graph_checksum,
@@ -70,7 +68,6 @@ __all__ = [
     "Matching",
     "MonotonicityWitness",
     "NonLifoPop",
-    "NotDeactivated",
     "OpCounters",
     "ParseError",
     "Scenario",
@@ -82,7 +79,6 @@ __all__ = [
     "UnknownSymbol",
     "UnknownVariable",
     "ValueGraph",
-    "add_edges",
     "all_values_distinct",
     "build_value_graph",
     "check_monotonic",

@@ -45,20 +45,18 @@ class Delta:
     """The trail frame of one adoption or deletion: its changes, in order.
 
     Flips are (var, previous value or None), as `matching_covering_x` logs
-    them.  The frame's own 2 cells are counted when it is pushed, and
-    `close` counts the changes: 1 per added vertex, 2 per added or removed
-    edge, 3 per flip.
+    them.  Value vertices come and go with their edges, so they are not
+    logged.  The frame's own 2 cells are counted when it is pushed, and
+    `close` counts the changes: 1 per added variable vertex, 2 per added or
+    removed edge, 3 per flip.
     """
 
-    __slots__ = (
-        "propagator", "var_vertices", "val_vertices", "added", "flips", "removed"
-    )
+    __slots__ = ("propagator", "var_vertices", "added", "flips", "removed")
     cells = 2
 
     def __init__(self, propagator: AllDifferent):
         self.propagator = propagator
         self.var_vertices: list[int] = []
-        self.val_vertices: list[int] = []
         self.added: list[tuple[int, int]] = []
         self.flips: list[tuple[int, Optional[int]]] = []
         self.removed: list[tuple[int, int]] = []
@@ -66,7 +64,6 @@ class Delta:
     def close(self, counters) -> None:
         counters.trailed_cells += (
             len(self.var_vertices)
-            + len(self.val_vertices)
             + 2 * (len(self.added) + len(self.removed))
             + 3 * len(self.flips)
         )
@@ -75,12 +72,9 @@ class Delta:
         graph = self.propagator.graph
         for var, val in self.removed:
             graph.add_edge(var, val)  # a no-op for an edge a fault left in place
-        # the first flip of each variable holds its value before the call
-        self.propagator.matching.assign(dict(reversed(self.flips)).items())
+        self.propagator.matching.assign(reversed(self.flips))
         for var, val in self.added:
             graph.remove_edge(var, val)
-        for val in reversed(self.val_vertices):
-            graph.pop_val_vertex(val)
         for var in reversed(self.var_vertices):
             graph.pop_var_vertex(var)
 
@@ -121,7 +115,7 @@ class AllDifferent:
         propagator) are skipped; they carry no new information.
         """
         graph, matching = self.graph, self.matching
-        doomed = [(var, v) for v in sorted(values) if graph.has_edge(var, v)]
+        doomed = [(var, v) for v in values if graph.has_edge(var, v)]
         if not doomed:
             return True
         delta = Delta(self)
@@ -135,8 +129,9 @@ class AllDifferent:
                 graph, matching, store.counters, [var], delta.flips
             ) is None:
                 return False
-            filtered = remove_edges_from_g(graph, matching, store.counters, seeds=[var])
-            delta.removed.extend(filtered)
+            filtered = remove_edges_from_g(
+                graph, matching, store.counters, seeds=[var], log=delta.removed
+            )
         finally:
             delta.close(store.counters)
         return self._prune(store, filtered)
@@ -154,7 +149,7 @@ class AllDifferent:
         fresh = set()
         for var in batch:
             store._check_var(var)
-            if var in fresh or self.graph.has_var(var):
+            if var in fresh or var in self.graph.adj_var:
                 raise DuplicateVariable(f"variable {var} already adopted")
             fresh.add(var)
         graph, matching = self.graph, self.matching
@@ -165,9 +160,7 @@ class AllDifferent:
                 graph.add_var_vertex(var)
                 delta.var_vertices.append(var)
                 store.watch_variable(self.handle_id, var)
-                for val in sorted(store.domains[var]):
-                    if graph.add_val_vertex(val):
-                        delta.val_vertices.append(val)
+                for val in store.domains[var]:
                     graph.add_edge(var, val)
                     delta.added.append((var, val))
             if matching_covering_x(
@@ -175,8 +168,9 @@ class AllDifferent:
             ) is None:
                 store._fail()
                 return False, delta
-            filtered = remove_edges_from_g(graph, matching, store.counters, seeds=batch)
-            delta.removed.extend(filtered)
+            filtered = remove_edges_from_g(
+                graph, matching, store.counters, seeds=batch, log=delta.removed
+            )
         finally:
             delta.close(store.counters)
         return self._prune(store, filtered), delta
@@ -195,31 +189,25 @@ class AllDifferent:
     # -- freezing and inspection ----------------------------------------------
 
     def snapshot(self):
-        """Deep copy of every internal structure plus its cell count."""
-        snap = (
-            {v: set(s) for v, s in self.graph.adj_var.items()},
-            {a: set(s) for a, s in self.graph.adj_val.items()},
-            self.graph.edge_count,
-            dict(self.matching.pair_of_var),
-            dict(self.matching.pair_of_val),
-        )
-        p = len(snap[0])
-        d = len(snap[1])
+        """A copy of the graph and the matching, plus its cell count.
+
+        `restore` adopts the copy as it is: a frozen snapshot is restored
+        at most once, when the frame that froze it is popped.
+        """
+        graph = ValueGraph()
+        graph.adj_var = {v: set(s) for v, s in self.graph.adj_var.items()}
+        graph.adj_val = {a: set(s) for a, s in self.graph.adj_val.items()}
+        graph.edge_count = self.graph.edge_count
+        matching = Matching()
+        matching.pair_of_var = dict(self.matching.pair_of_var)
+        matching.pair_of_val = dict(self.matching.pair_of_val)
+        p, d = len(graph.adj_var), len(graph.adj_val)
         # the last p: the variable order, kept as adj_var's key order
-        cells = 2 * self.graph.edge_count + p + d + 2 * self.matching.size + p
-        return snap, cells
+        cells = 2 * graph.edge_count + p + d + 2 * matching.size + p
+        return (graph, matching), cells
 
     def restore(self, snap) -> None:
-        adj_var, adj_val, edge_count, pvar, pval = snap
-        graph = ValueGraph()
-        graph.adj_var = {v: set(s) for v, s in adj_var.items()}
-        graph.adj_val = {a: set(s) for a, s in adj_val.items()}
-        graph.edge_count = edge_count
-        self.graph = graph
-        matching = Matching()
-        matching.pair_of_var = dict(pvar)
-        matching.pair_of_val = dict(pval)
-        self.matching = matching
+        self.graph, self.matching = snap
 
     def state_digest(self) -> str:
         order = tuple(self.graph.adj_var)  # the variables in adoption order
@@ -229,9 +217,10 @@ class AllDifferent:
         """Raise KernelError unless graph, matching and store agree.
 
         The variable vertices are the variables this constraint watches;
-        `edge_count` counts the edges and `adj_val` is `adj_var` transposed;
-        every edge is in its variable's domain; the matching's two maps are
-        inverse, use graph edges only and cover every variable vertex.
+        `edge_count` counts the edges and `adj_val` is `adj_var` transposed,
+        with no value vertex left without an edge; every edge is in its
+        variable's domain; the matching's two maps are inverse, use graph
+        edges only and cover every variable vertex.
         """
         graph, matching = self.graph, self.matching
         if set(graph.adj_var) != set(store.constraints[self.handle_id].watched_vars):
@@ -244,6 +233,9 @@ class AllDifferent:
         }
         if edges != transposed:
             raise KernelError("adj_val is not the transpose of adj_var")
+        for val, vars_ in graph.adj_val.items():
+            if not vars_:
+                raise KernelError(f"value vertex {val} has no edge")
         for var, vals in graph.adj_var.items():
             if not vals <= store.domains[var]:
                 raise KernelError(f"edges of variable {var} outside its domain")

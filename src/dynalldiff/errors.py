@@ -25,10 +25,6 @@ class AlreadyInactive(KernelError):
     """deactivate_constraint on a constraint that is already inactive."""
 
 
-class NotDeactivated(KernelError):
-    """reactivate_constraint on a constraint that was never deactivated."""
-
-
 class InitFailure(KernelError):
     """A propagator's initialisation reported inconsistency at posting time."""
 

@@ -2,9 +2,11 @@
 
 The graph is bipartite: variable vertices on one side, value vertices on the
 other, with an edge (x, a) whenever value a is in x's domain at the time of
-the last synchronisation.  Vertices are never deleted by edge removal; a
-value vertex whose degree drops to zero simply stays inert, which keeps
-indices stable for trail deltas.
+the last synchronisation.  Variable vertices are added and popped
+explicitly, and their insertion order is the adoption order.  A value
+vertex exists exactly while some edge reaches it: the first edge to it
+creates it and removing the last one deletes it, so the values are the
+union of the variables' live domains.
 
 Orientation convention, fixed project wide: matched edges point value to
 variable, unmatched edges point variable to value.
@@ -69,23 +71,8 @@ class ValueGraph:
 
     def __init__(self):
         self.adj_var: dict[int, set[int]] = {}
-        self.adj_val: dict[int, set[int]] = {}
+        self.adj_val: dict[int, set[int]] = {}  # only values with an edge
         self.edge_count = 0
-
-    @property
-    def var_vertices(self) -> list[int]:
-        return list(self.adj_var)
-
-    @property
-    def val_vertices(self) -> list[int]:
-        return list(self.adj_val)
-
-    @property
-    def m(self) -> int:
-        return self.edge_count
-
-    def has_var(self, var: int) -> bool:
-        return var in self.adj_var
 
     def add_var_vertex(self, var: int) -> bool:
         if var in self.adj_var:
@@ -93,29 +80,26 @@ class ValueGraph:
         self.adj_var[var] = set()
         return True
 
-    def add_val_vertex(self, val: int) -> bool:
-        if val in self.adj_val:
-            return False
-        self.adj_val[val] = set()
-        return True
-
     def has_edge(self, var: int, val: int) -> bool:
         return var in self.adj_var and val in self.adj_var[var]
 
     def add_edge(self, var: int, val: int) -> bool:
         """Insert (var, val), creating endpoints as needed; False on duplicate."""
-        self.add_var_vertex(var)
-        self.add_val_vertex(val)
-        if val in self.adj_var[var]:
+        vals = self.adj_var.setdefault(var, set())
+        if val in vals:
             return False
-        self.adj_var[var].add(val)
-        self.adj_val[val].add(var)
+        vals.add(val)
+        self.adj_val.setdefault(val, set()).add(var)
         self.edge_count += 1
         return True
 
     def remove_edge(self, var: int, val: int) -> None:
-        self.adj_var[var].discard(val)
-        self.adj_val[val].discard(var)
+        """Delete (var, val), and val's vertex with its last edge."""
+        self.adj_var[var].remove(val)
+        owners = self.adj_val[val]
+        owners.remove(var)
+        if not owners:
+            del self.adj_val[val]
         self.edge_count -= 1
 
     def pop_var_vertex(self, var: int) -> None:
@@ -124,15 +108,8 @@ class ValueGraph:
             raise KernelError(f"variable vertex {var} still has edges")
         del self.adj_var[var]
 
-    def pop_val_vertex(self, val: int) -> None:
-        if self.adj_val[val]:
-            raise KernelError(f"value vertex {val} still has edges")
-        del self.adj_val[val]
-
     def edges(self) -> list[tuple[int, int]]:
-        return [
-            (var, val) for var, vals in self.adj_var.items() for val in sorted(vals)
-        ]
+        return [(var, val) for var, vals in self.adj_var.items() for val in vals]
 
 
 class Matching:
@@ -155,13 +132,18 @@ class Matching:
         del self.pair_of_val[val]
 
     def assign(self, pairs: Iterable[tuple[int, Optional[int]]]) -> None:
-        """Set pair(var) = val, or unmatch var when val is None, as one batch."""
-        pairs = list(pairs)
-        for var, _ in pairs:
+        """Set pair(var) = val, or unmatch var when val is None, pair by pair.
+
+        A variable's old value is released only if it still points back to
+        that variable, so a value taken by an earlier pair stays taken.
+        Replaying a flip log backwards, `assign(reversed(log))`, returns
+        every logged variable to its first logged value, also when a fault
+        stopped `match` half-way along an augmenting path.
+        """
+        for var, val in pairs:
             current = self.pair_of_var.pop(var, None)
             if current is not None and self.pair_of_val.get(current) == var:
                 del self.pair_of_val[current]
-        for var, val in pairs:
             if val is not None:
                 self.match(var, val)
 
@@ -172,11 +154,11 @@ class Matching:
 def build_value_graph(
     variable_domains: Iterable[tuple[int, Iterable[int]]]
 ) -> ValueGraph:
-    """One variable vertex per entry, value vertices in first-seen order."""
+    """One variable vertex per entry, in order, with an edge per domain value."""
     graph = ValueGraph()
     for var, domain in variable_domains:
         graph.add_var_vertex(var)
-        for val in sorted(domain):
+        for val in domain:
             graph.add_edge(var, val)
     return graph
 
@@ -208,7 +190,7 @@ def _augment_phase(
         visits += 1
         if shortest != _INF and dist[var] >= shortest:
             continue
-        for val in sorted(adj_var[var]):
+        for val in adj_var[var]:
             owner = pair_of_val.get(val)
             if owner is None:
                 if shortest == _INF:
@@ -225,7 +207,7 @@ def _augment_phase(
         if source in pair_of_var or dist[source] != 0:
             continue
         visits += 1
-        var, vals = source, iter(sorted(adj_var[source]))
+        var, vals = source, iter(adj_var[source])
         above: list = []  # (var, its remaining values, value taken) per level
         while True:
             layer = dist[var] + 1
@@ -244,7 +226,7 @@ def _augment_phase(
                 continue
             above.append((var, vals, val))
             if owner is not None:  # descend to the value's owner
-                var, vals = owner, iter(sorted(adj_var[owner]))
+                var, vals = owner, iter(adj_var[owner])
                 visits += 1
                 continue
             # a free value on the last layer: flip the path, deepest first
@@ -262,7 +244,11 @@ def _augment_phase(
 def compute_maximum_matching(
     graph: ValueGraph, counters: Optional[OpCounters] = None
 ) -> Matching:
-    """Hopcroft-Karp maximum matching; deterministic via sorted adjacency."""
+    """Hopcroft-Karp maximum matching.
+
+    Repeatable without sorting: the order in which a set of ints is walked
+    depends only on the insertions and removals that built it.
+    """
     matching = Matching()
     while True:
         free = [v for v in graph.adj_var if v not in matching.pair_of_var]
@@ -296,8 +282,7 @@ def matching_covering_x(
         if not uncovered:
             return matching
         if _augment_phase(graph, matching, uncovered, counters, flips) == 0:
-            # the first flip of each variable holds its value before this call
-            matching.assign(dict(reversed(flips[start:])).items())
+            matching.assign(reversed(flips[start:]))
             del flips[start:]
             return None
 
@@ -382,6 +367,7 @@ def remove_edges_from_g(
     matching: Matching,
     counters: Optional[OpCounters] = None,
     seeds: Optional[Iterable[int]] = None,
+    log: Optional[list[tuple[int, int]]] = None,
 ) -> list[tuple[int, int]]:
     """Delete and return every edge that is in no matching covering X.
 
@@ -400,7 +386,8 @@ def remove_edges_from_g(
     seeds, the variables a change touched, only their connected component is
     filtered; that is exact when the graph was filtered before the change
     (see the module docstring).  Removed edges come in ascending
-    (var, value) order.
+    (var, value) order; they are appended to `log`, when one is given,
+    before the first of them is deleted, so a fault part-way loses none.
     """
     adj_var, adj_val = graph.adj_var, graph.adj_val
     pair_of_var = matching.pair_of_var
@@ -447,20 +434,13 @@ def remove_edges_from_g(
             if val != matched and component[pair_of_val[val]] != own:
                 removed.append((var, val))
     removed.sort()
+    if log is not None:
+        log.extend(removed)
     for var, val in removed:
         graph.remove_edge(var, val)
     if counters is not None:
         counters.filter_visits += visits
     return removed
-
-
-def add_edges(graph: ValueGraph, new_edges: Iterable[tuple[int, int]]) -> int:
-    """Insert edges (duplicates ignored); returns how many were new."""
-    added = 0
-    for var, val in new_edges:
-        if graph.add_edge(var, val):
-            added += 1
-    return added
 
 
 def remove_edges(
@@ -479,10 +459,9 @@ def remove_edges(
 
 
 def graph_checksum(graph: ValueGraph, matching: Matching) -> str:
-    """Order-independent digest of vertex sets, edge set and matching pairs."""
+    """Order-independent digest of variable vertices, edges and matching pairs."""
     state = (
         tuple(sorted(graph.adj_var)),
-        tuple(sorted(graph.adj_val)),
         tuple(sorted((v, a) for v, vals in graph.adj_var.items() for a in vals)),
         tuple(sorted(matching.pair_of_var.items())),
     )

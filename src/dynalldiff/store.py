@@ -25,7 +25,6 @@ from .errors import (
     InitFailure,
     KernelError,
     NonLifoPop,
-    NotDeactivated,
     UnknownVariable,
 )
 from .matching import OpCounters
@@ -34,27 +33,25 @@ from .matching import OpCounters
 class CheckpointToken:
     """Identifies an open checkpoint by its position in the trail."""
 
-    __slots__ = ("depth", "serial")
+    __slots__ = ("depth",)
 
-    def __init__(self, depth: int, serial: int):
+    def __init__(self, depth: int):
         self.depth = depth
-        self.serial = serial
 
     def __repr__(self):
-        return f"CheckpointToken(depth={self.depth}, serial={self.serial})"
+        return f"CheckpointToken(depth={self.depth})"
 
 
 class ConstraintHandle:
     """A posted constraint: propagator, watched variables, activation flag."""
 
-    __slots__ = ("id", "propagator", "watched_vars", "active", "frozen")
+    __slots__ = ("id", "propagator", "watched_vars", "active")
 
     def __init__(self, handle_id: int, propagator, watched_vars: list[int]):
         self.id = handle_id
         self.propagator = propagator
         self.watched_vars = watched_vars  # grows when variables are adopted
         self.active = True
-        self.frozen = None  # snapshot while deactivated
 
 
 class _Frame:
@@ -129,21 +126,7 @@ class _Deactivated(_Frame):
 
     def undo(self, store):
         self.handle.propagator.restore(self.snapshot)
-        self.handle.frozen = None
         self.handle.active = True
-
-
-class _Reactivated(_Frame):
-    cells = 2
-
-    def __init__(self, handle: ConstraintHandle, snapshot):
-        self.handle = handle
-        self.snapshot = snapshot
-
-    def undo(self, store):
-        self.handle.propagator.restore(self.snapshot)
-        self.handle.frozen = self.snapshot
-        self.handle.active = False
 
 
 class _WatcherAdded(_Frame):
@@ -184,7 +167,6 @@ class Store:
         self.failed = False
         self.counters = OpCounters()
         self._open_tokens: list[CheckpointToken] = []
-        self._token_serial = 0
         self._event_order: deque[tuple[int, int]] = deque()
         self._pending: dict[tuple[int, int], list[int]] = {}
 
@@ -258,8 +240,7 @@ class Store:
     # -- checkpoints --------------------------------------------------------
 
     def push_checkpoint(self) -> CheckpointToken:
-        token = CheckpointToken(len(self.trail), self._token_serial)
-        self._token_serial += 1
+        token = CheckpointToken(len(self.trail))
         self.trail_push(_Marker(token))
         self._open_tokens.append(token)
         return token
@@ -307,18 +288,8 @@ class Store:
         if not handle.active:
             raise AlreadyInactive(f"constraint {handle.id} is already inactive")
         snapshot, cells = handle.propagator.snapshot()
-        handle.frozen = snapshot
         handle.active = False
         self.trail_push(_Deactivated(handle, snapshot, cells + 2))
-
-    def reactivate_constraint(self, handle: ConstraintHandle) -> None:
-        if handle.active or handle.frozen is None:
-            raise NotDeactivated(f"constraint {handle.id} is not deactivated")
-        snapshot = handle.frozen
-        handle.propagator.restore(snapshot)
-        handle.frozen = None
-        handle.active = True
-        self.trail_push(_Reactivated(handle, snapshot))
 
     def watch_variable(self, cid: int, var: int) -> None:
         """Extend a constraint's watch set (used when it adopts a variable)."""

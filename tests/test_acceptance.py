@@ -111,8 +111,6 @@ def test_criterion_02_late_adoption_reproduction():
     expected_graph = ValueGraph()
     for var in (0, 1, 2, 3, 4):
         expected_graph.add_var_vertex(var)
-    for val in (A, B, C, D, E):
-        expected_graph.add_val_vertex(val)
     for var, val in [(0, A), (0, B), (1, A), (1, B), (2, C), (3, D), (4, E)]:
         expected_graph.add_edge(var, val)
     expected_matching = Matching()

@@ -193,6 +193,7 @@ def test_adoption_along_chain_longer_than_recursion_limit(links):
     store = Store()
     chain = [store.add_variable({i, i + 1}) for i in range(links)]
     prop = post_alldiff(store, chain).propagator
+    prop.matching.assign((x, i) for i, x in enumerate(chain))
     before = store.checksum()
     y = store.add_variable({0})
     token = store.push_checkpoint()

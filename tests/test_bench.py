@@ -126,6 +126,18 @@ def test_counters_shape_consistent_with_live_graph():
                 assert step.filter_visits >= 0
 
 
+def test_engines_agree_on_graph_shape():
+    # d counts the values with an edge, so at a fixpoint both engines' graphs
+    # hold exactly the live domains
+    for seed in range(300):
+        scenario = generate_random_scenario(seed, p_max=6, d_max=6, del_rate=0.3)
+        generic = run_scenario(scenario, "generic")
+        dynamic = run_scenario(scenario, "dynamic")
+        for g, d in zip(generic.steps, dynamic.steps):
+            if g.consistent and d.consistent:
+                assert (g.p, g.d, g.m) == (d.p, d.d, d.m), (seed, g.index)
+
+
 def test_counters_reproducible():
     scenario = generate_random_scenario(9, p_max=5, d_max=5, del_rate=0.3)
     for mode in ("generic", "dynamic"):

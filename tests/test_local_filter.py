@@ -169,6 +169,10 @@ def _drop_transposed_edge(store, prop):
     prop.graph.adj_val[prop.matching.pair_of_var[0]].discard(0)
 
 
+def _keep_value_without_edges(store, prop):
+    prop.graph.adj_val[4] = set()  # no variable has 4 in its domain
+
+
 @pytest.mark.parametrize(
     "corrupt, message",
     [
@@ -179,6 +183,7 @@ def _drop_transposed_edge(store, prop):
         (_adopt_unknown_variable, "differ from the watched ones"),
         (_miscount_edges, "edge count"),
         (_drop_transposed_edge, "not the transpose"),
+        (_keep_value_without_edges, "has no edge"),
     ],
 )
 def test_validate_rejects_a_corrupted_copy(corrupt, message):

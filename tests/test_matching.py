@@ -1,5 +1,6 @@
 """Value graph, Hopcroft-Karp, covering extension and the edge filter."""
 
+import itertools
 import random
 
 import pytest
@@ -10,7 +11,7 @@ from dynalldiff.errors import UncoveredVariable, UnknownEdge
 from dynalldiff.matching import (
     Matching,
     OpCounters,
-    add_edges,
+    ValueGraph,
     build_value_graph,
     compute_maximum_matching,
     graph_checksum,
@@ -41,19 +42,19 @@ def random_graph(rng, p_max=7, d_max=7, edge_cap=24):
 
 def test_build_triple_shape():
     graph = build_value_graph(TRIPLE)
-    assert len(graph.var_vertices) == 3
-    assert len(graph.val_vertices) == 3
-    assert graph.m == 7
+    assert len(graph.adj_var) == 3
+    assert len(graph.adj_val) == 3
+    assert graph.edge_count == 7
 
 
 def test_build_empty():
     graph = build_value_graph([])
-    assert graph.var_vertices == [] and graph.val_vertices == [] and graph.m == 0
+    assert graph.adj_var == {} and graph.adj_val == {} and graph.edge_count == 0
 
 
 def test_build_singleton():
     graph = build_value_graph([(0, {A})])
-    assert (len(graph.var_vertices), len(graph.val_vertices), graph.m) == (1, 1, 1)
+    assert (len(graph.adj_var), len(graph.adj_val), graph.edge_count) == (1, 1, 1)
 
 
 def test_maximum_matching_triple_covers():
@@ -93,7 +94,7 @@ def test_no_augmenting_path_certificate():
     for _ in range(60):
         graph = build_value_graph(random_graph(rng))
         matching = compute_maximum_matching(graph)
-        for start in graph.var_vertices:
+        for start in graph.adj_var:
             if start in matching.pair_of_var:
                 continue
             seen_vars = {start}
@@ -121,7 +122,7 @@ def test_covering_late_adoption_extension():
     graph = build_value_graph(TRIPLE)
     matching = compute_maximum_matching(graph)
     remove_edges_from_g(graph, matching)
-    add_edges(graph, [(3, C), (3, D), (4, D), (4, E)])
+    add_late_adopters(graph)
     extended = matching_covering_x(graph, matching)
     assert extended is not None
     assert extended.size == 5
@@ -137,6 +138,49 @@ def test_covering_pigeonhole_returns_none():
     matching = Matching()
     matching.match(0, A)
     assert matching_covering_x(graph, matching) is None
+
+
+def test_reversed_flip_log_restores_after_a_fault_in_match(monkeypatch):
+    # covering several variables can flip one variable more than once, and
+    # a fault can stop `match` half-way along a path, leaving a value that
+    # still points back at a variable which has moved on
+    class Fault(Exception):
+        pass
+
+    real_match = Matching.match
+    rng = random.Random(3)
+    twice = 0
+    for _ in range(300):
+        graph = build_value_graph(random_graph(rng))
+        start = compute_maximum_matching(graph)
+        for var in rng.sample(sorted(start.pair_of_var), min(3, start.size)):
+            start.unmatch(var, start.pair_of_var[var])
+        for k in itertools.count(1):
+            matching = Matching()
+            matching.assign(start.pair_of_var.items())
+            calls = []
+
+            def match(self, var, val, k=k, calls=calls):
+                calls.append(var)
+                if len(calls) == k:
+                    raise Fault
+                real_match(self, var, val)
+
+            monkeypatch.setattr(Matching, "match", match)
+            log = []
+            try:
+                matching_covering_x(graph, matching, log=log)
+            except Fault:
+                pass
+            else:
+                break
+            finally:
+                monkeypatch.undo()
+            twice += len({var for var, _ in log}) < len(log)
+            matching.assign(reversed(log))
+            assert matching.pair_of_var == start.pair_of_var
+            assert matching.pair_of_val == start.pair_of_val
+    assert twice > 0
 
 
 def test_covering_extension_size_matches_scratch():
@@ -200,26 +244,40 @@ def test_filter_uncovered_precondition():
         remove_edges_from_g(graph, matching)
 
 
+def add_late_adopters(graph):
+    """Variables 3 in {C, D} and 4 in {D, E}; True for each new edge."""
+    return [graph.add_edge(var, val) for var, val in [(3, C), (3, D), (4, D), (4, E)]]
+
+
 def test_add_edges_late_adoption():
     graph = build_value_graph(TRIPLE)
     matching = compute_maximum_matching(graph)
     remove_edges_from_g(graph, matching)
-    added = add_edges(graph, [(3, C), (3, D), (4, D), (4, E)])
-    assert added == 4
-    assert len(graph.var_vertices) == 5
-    assert len(graph.val_vertices) == 5
+    assert add_late_adopters(graph) == [True] * 4
+    assert len(graph.adj_var) == 5
+    assert len(graph.adj_val) == 5
 
 
 def test_add_edges_duplicate_ignored():
     graph = build_value_graph([(0, {A})])
-    assert add_edges(graph, [(0, A)]) == 0
-    assert graph.m == 1
+    assert graph.add_edge(0, A) is False
+    assert graph.edge_count == 1
 
 
 def test_add_edges_to_empty():
-    graph = build_value_graph([])
-    add_edges(graph, [(0, A)])
-    assert (len(graph.var_vertices), len(graph.val_vertices), graph.m) == (1, 1, 1)
+    graph = ValueGraph()
+    assert graph.add_edge(0, A) is True
+    assert (len(graph.adj_var), len(graph.adj_val), graph.edge_count) == (1, 1, 1)
+
+
+def test_value_vertex_lives_with_its_edges():
+    graph = build_value_graph([(0, {A, B}), (1, {B})])
+    graph.remove_edge(0, A)
+    assert A not in graph.adj_val
+    graph.remove_edge(0, B)
+    assert graph.adj_val == {B: {1}}
+    graph.add_edge(0, A)
+    assert graph.adj_val == {A: {0}, B: {1}}
 
 
 def test_remove_edges_unmatched_keeps_matching():

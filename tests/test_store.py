@@ -16,7 +16,6 @@ from dynalldiff.errors import (
     EmptyDomain,
     InitFailure,
     NonLifoPop,
-    NotDeactivated,
     UnknownVariable,
 )
 from dynalldiff.store import Store
@@ -228,27 +227,18 @@ def test_deactivate_twice_raises():
         store.deactivate_constraint(handle)
 
 
-def test_reactivate_flag_and_guard():
-    store = Store()
-    var = store.add_variable({A})
-    handle = store.post_constraint(RecordingPropagator([var]))
-    with pytest.raises(NotDeactivated):
-        store.reactivate_constraint(handle)
-    store.deactivate_constraint(handle)
-    store.reactivate_constraint(handle)
-    assert handle.active
-
-
 def test_deactivate_reactivate_equals_uninterrupted():
-    # same event stream, with and without a deactivate/reactivate pause
+    # same event stream, with and without a deactivation popped right away
     def run(pause):
         store = Store()
         var = store.add_variable({A, B, C})
         prop = RecordingPropagator([var])
         handle = store.post_constraint(prop)
         if pause:
+            token = store.push_checkpoint()
             store.deactivate_constraint(handle)
-            store.reactivate_constraint(handle)
+            store.pop_checkpoint(token)
+            assert handle.active
         store.remove_value(var, A)
         store.propagate_fixpoint()
         store.remove_value(var, B)

@@ -1,11 +1,13 @@
 """Exact trail restoration: after a fault mid-call, and under random interleavings.
 
 A propagator call puts its one undo frame on the trail before it changes
-anything, so popping the checkpoint restores the store even when the call
-raised half-way.  The state machine replays push, pop, ADD and DEL on the
-dynamic engine and the re-posting baseline side by side and checks them
-against each other, against `Store.validate` and against the brute-force
-oracle after every step.
+anything, and logs each change before making it, so popping the checkpoint
+restores the store even when the call raised half-way.  Faults are injected
+at the matching functions the propagator calls and at every mutation point
+below them, at each call a step makes.  The state machine replays push, pop,
+ADD and DEL on the dynamic engine and the re-posting baseline side by side
+and checks them against each other, against `Store.validate` and against
+the brute-force oracle after every step.
 """
 
 import pytest
@@ -22,6 +24,7 @@ from hypothesis.stateful import (
 import dynalldiff.alldiff
 from dynalldiff.alldiff import AllDifferent
 from dynalldiff.generic import GenericDynamizer
+from dynalldiff.matching import Matching, ValueGraph
 from dynalldiff.oracle import all_values_distinct, gac_filter_bruteforce
 from dynalldiff.store import Store
 
@@ -103,6 +106,98 @@ def test_pop_restores_the_store_after_a_fault(monkeypatch, step, name, fault):
     assert step(fresh, fresh_prop, fresh_chain)[1]() is True
     assert store.checksum() == fresh.checksum()
     assert all(store.domain(x) == {i + 1} for i, x in enumerate(chain))
+
+
+def linked_store():
+    """The chain, plus w in {LINKS-1, LINKS, LINKS+1} distinct from the last link."""
+    store, prop, chain = chain_store()
+    w = store.add_variable({LINKS - 1, LINKS, LINKS + 1})
+    store.post_constraint(AllDifferent([chain[-1], w]))
+    assert store.propagate_fixpoint()
+    return store, prop, chain
+
+
+def adopt_two(store, prop, chain):
+    # y and z in {0}: y's augmenting path is applied, z finds none, and the
+    # call reverts y's flips
+    pair = [store.add_variable({0}) for _ in range(2)]
+    token = store.push_checkpoint()
+    return token, lambda: (
+        prop.add_variables(store, pair)[0] and store.propagate_fixpoint()
+    )
+
+
+def delete_clash(store, prop, chain):
+    # x0 loses 0 and w keeps only LINKS, which the shifted last link needs too
+    w = chain[-1] + 1  # linked_store creates w right after the chain
+    token = store.push_checkpoint()
+
+    def run():
+        for var, value in ((chain[0], 0), (w, LINKS - 1), (w, LINKS + 1)):
+            store.remove_value(var, value)
+        return store.propagate_fixpoint()
+
+    return token, run
+
+
+MUTATION_POINTS = {
+    "add_edge": ValueGraph,
+    "remove_edge": ValueGraph,
+    "match": Matching,
+    "assign": Matching,
+    "remove_value": Store,
+    "watch_variable": Store,
+}
+REACHED = {  # the mutation points each step calls
+    adopt: ("add_edge", "remove_edge", "match", "remove_value", "watch_variable"),
+    adopt_two: ("add_edge", "match", "assign", "watch_variable"),
+    delete: ("remove_edge", "match", "remove_value"),
+    delete_clash: ("remove_edge", "match", "remove_value"),
+}
+
+
+def _fault_at(real, k, calls):
+    def stand_in(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == k:
+            raise Fault(real.__name__)
+        return real(*args, **kwargs)
+
+    return stand_in
+
+
+@pytest.mark.parametrize(
+    "step, point",
+    [(step, point) for step, points in REACHED.items() for point in points],
+    ids=lambda x: getattr(x, "__name__", x),
+)
+def test_pop_restores_the_store_after_a_fault_at_any_call(monkeypatch, step, point):
+    owner = MUTATION_POINTS[point]
+    k = 0
+    while True:
+        k += 1
+        store, prop, chain = linked_store()
+        before, variables = store.checksum(), len(store.domains)
+        token, run = step(store, prop, chain)
+        calls = []
+        monkeypatch.setattr(owner, point, _fault_at(getattr(owner, point), k, calls))
+        try:
+            verdict = run()
+        except Fault:
+            verdict = None
+        monkeypatch.undo()
+        if verdict is not None:  # the step makes fewer than k calls
+            assert len(calls) == k - 1 > 0
+            break
+        store.pop_checkpoint(token)
+        while len(store.domains) > variables:
+            store.retract_last_variable()
+        assert store.checksum() == before, k
+        store.validate()
+        # the restored store runs the step as a fresh one does
+        fresh, fresh_prop, fresh_chain = linked_store()
+        assert step(store, prop, chain)[1]() == step(fresh, fresh_prop, fresh_chain)[1]()
+        assert store.checksum() == fresh.checksum(), k
 
 
 VALUES = 6
