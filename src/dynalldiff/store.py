@@ -1,10 +1,12 @@
 """Finite-domain variable store with a reversible trail and event propagation.
 
 The store owns variables (dense integer ids in creation order), their
-domains (sets of dense value ids), posted constraints, and a trail of
-invertible frames.  push_checkpoint/pop_checkpoint give exact LIFO state
-restoration: every mutation between a push and its pop is undone
-frame-by-frame in reverse order, including propagator internals.
+domains (sets of dense value ids) and watcher stacks (constraint ids), posted
+constraints, and a trail of invertible frames; a checkpoint's token is its
+own frame.  push_checkpoint/pop_checkpoint give exact LIFO restoration: every
+mutation between a push and its pop is undone in reverse order, including
+propagator internals, and every undo pops what its frame pushed.  A frame
+whose entries are not on top raises NonLifoPop and stays on the trail.
 
 Failure is a sticky branch flag cleared only by popping a checkpoint pushed
 before the failure.  Propagation is an event queue drained by
@@ -31,12 +33,16 @@ from .matching import OpCounters
 
 
 class CheckpointToken:
-    """Identifies an open checkpoint by its position in the trail."""
+    """An open checkpoint: its own trail frame, at index `depth`; undo is a no-op."""
 
     __slots__ = ("depth",)
+    cells = 1
 
     def __init__(self, depth: int):
         self.depth = depth
+
+    def undo(self, store: "Store") -> None:
+        pass
 
     def __repr__(self):
         return f"CheckpointToken(depth={self.depth})"
@@ -54,24 +60,7 @@ class ConstraintHandle:
         self.active = True
 
 
-class _Frame:
-    cells = 1
-
-    def undo(self, store: "Store") -> None:
-        raise NotImplementedError
-
-
-class _Marker(_Frame):
-    cells = 1
-
-    def __init__(self, token: CheckpointToken):
-        self.token = token
-
-    def undo(self, store):
-        pass  # handled by pop_checkpoint itself
-
-
-class _VarAdded(_Frame):
+class _VarAdded:
     cells = 2
 
     def __init__(self, var: int):
@@ -83,10 +72,10 @@ class _VarAdded(_Frame):
         if store.watchers[self.var]:
             raise NonLifoPop("variable retracted while watched")
         store.domains.pop()
-        del store.watchers[self.var]
+        store.watchers.pop()
 
 
-class _ValueRemoved(_Frame):
+class _ValueRemoved:
     cells = 2
 
     def __init__(self, var: int, value: int):
@@ -97,28 +86,32 @@ class _ValueRemoved(_Frame):
         store.domains[self.var].add(self.value)
 
 
-class _FailedFlag(_Frame):
+class _FailedFlag:
     cells = 1
 
     def undo(self, store):
         store.failed = False
 
 
-class _Posted(_Frame):
+class _Posted:
     cells = 2
 
     def __init__(self, handle: ConstraintHandle):
         self.handle = handle
 
     def undo(self, store):
-        if not store.constraints or store.constraints[-1] is not self.handle:
+        handle = self.handle
+        if not store.constraints or store.constraints[-1] is not handle:
             raise NonLifoPop("posting retracted out of LIFO order")
+        stacks = [store.watchers[var] for var in handle.watched_vars]
+        if not all(stack and stack[-1] == handle.id for stack in stacks):
+            raise NonLifoPop("posting's watches are not on top of their stacks")
         store.constraints.pop()
-        for var in self.handle.watched_vars:
-            store.watchers[var].remove(self.handle.id)
+        for stack in stacks:
+            stack.pop()
 
 
-class _Deactivated(_Frame):
+class _Deactivated:
     def __init__(self, handle: ConstraintHandle, snapshot, cells: int):
         self.handle = handle
         self.snapshot = snapshot
@@ -129,7 +122,7 @@ class _Deactivated(_Frame):
         self.handle.active = True
 
 
-class _WatcherAdded(_Frame):
+class _WatcherAdded:
     cells = 2
 
     def __init__(self, handle: ConstraintHandle, var: int):
@@ -137,14 +130,18 @@ class _WatcherAdded(_Frame):
         self.var = var
 
     def undo(self, store):
-        if self.handle.watched_vars[-1] != self.var:
+        watched, stack = self.handle.watched_vars, store.watchers[self.var]
+        if watched[-1] != self.var or not stack or stack[-1] != self.handle.id:
             raise NonLifoPop("watch retracted out of LIFO order")
-        store.watchers[self.var].remove(self.handle.id)
-        self.handle.watched_vars.pop()
+        stack.pop()
+        watched.pop()
 
 
-class _DomainsPushed(_Frame):
-    """Eager whole-domain copies: the re-posting baseline's duplication cost."""
+class _DomainsPushed:
+    """Eager whole-domain copies: the re-posting baseline's duplication cost.
+
+    Undo adopts the copies as they are: the frame is popped with its undo.
+    """
 
     def __init__(self, variables: list[int], copies: list[set[int]]):
         self.variables = variables
@@ -153,7 +150,7 @@ class _DomainsPushed(_Frame):
 
     def undo(self, store):
         for var, copy in zip(self.variables, self.copies):
-            store.domains[var] = set(copy)
+            store.domains[var] = copy
 
 
 class Store:
@@ -161,9 +158,9 @@ class Store:
 
     def __init__(self):
         self.domains: list[set[int]] = []
-        self.watchers: dict[int, list[int]] = {}
+        self.watchers: list[list[int]] = []  # per variable, a stack of constraint ids
         self.constraints: list[ConstraintHandle] = []
-        self.trail: list[_Frame] = []
+        self.trail: list = []  # frames: each has `cells` and `undo(store)`
         self.failed = False
         self.counters = OpCounters()
         self._open_tokens: list[CheckpointToken] = []
@@ -176,10 +173,6 @@ class Store:
         self.trail.append(frame)
         self.counters.trailed_cells += frame.cells
 
-    @property
-    def trail_depth(self) -> int:
-        return len(self.trail)
-
     # -- variables ---------------------------------------------------------
 
     def add_variable(self, domain: Iterable[int]) -> int:
@@ -189,7 +182,7 @@ class Store:
             raise EmptyDomain("variable created with empty domain")
         var = len(self.domains)
         self.domains.append(members)
-        self.watchers[var] = []
+        self.watchers.append([])
         self.trail_push(_VarAdded(var))
         return var
 
@@ -228,7 +221,7 @@ class Store:
         if len(dom) == 1:
             self._fail()
             raise DomainWipeout(f"removing {value} empties variable {var}")
-        dom.remove(value)
+        dom.discard(value)
         self.trail_push(_ValueRemoved(var, value))
         for cid in self.watchers[var]:
             if cid == cause:
@@ -241,19 +234,18 @@ class Store:
 
     def push_checkpoint(self) -> CheckpointToken:
         token = CheckpointToken(len(self.trail))
-        self.trail_push(_Marker(token))
+        self.trail_push(token)
         self._open_tokens.append(token)
         return token
 
     def pop_checkpoint(self, token: CheckpointToken) -> None:
-        """Invert every frame above the token's marker, newest first."""
+        """Invert every frame above the token, newest first, then pop the token."""
         if not self._open_tokens or self._open_tokens[-1] is not token:
             raise NonLifoPop(f"{token} is not the newest open checkpoint")
         while len(self.trail) > token.depth + 1:
             self.trail[-1].undo(self)  # a frame that refuses stays on the trail
             self.trail.pop()
-        marker = self.trail[-1]
-        if not isinstance(marker, _Marker) or marker.token is not token:
+        if self.trail[-1] is not token:
             raise NonLifoPop(f"{token} does not mark its trail position")
         self.trail.pop()
         self._open_tokens.pop()
@@ -355,14 +347,19 @@ class Store:
     def validate(self) -> None:
         """Raise KernelError unless the store's structures agree.
 
-        The watcher lists and the handles' `watched_vars` must name the same
-        (variable, constraint) pairs, and every active propagator's own
-        `validate(store)` must pass.
+        The watcher stacks and the handles' `watched_vars` must name the same
+        (variable, constraint) pairs.  On a consistent branch every active
+        propagator's own `validate(store)` must pass too.  A failed branch is
+        not checked further: a failed fixpoint drops its queued events, a
+        failed init leaves an empty graph and a failed adoption leaves its
+        variables uncovered.
         """
-        watching = sorted((v, cid) for v, cids in self.watchers.items() for cid in cids)
+        watching = sorted((v, cid) for v, cids in enumerate(self.watchers) for cid in cids)
         watched = sorted((v, h.id) for h in self.constraints for v in h.watched_vars)
         if watching != watched:
             raise KernelError("watchers and watched_vars disagree")
+        if self.failed:
+            return
         for handle in self.constraints:
             if handle.active:
                 handle.propagator.validate(self)

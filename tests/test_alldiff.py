@@ -63,7 +63,7 @@ def test_init_disjoint_singletons_no_removals():
     store = Store()
     x1 = store.add_variable({A})
     x2 = store.add_variable({B})
-    trail_before = store.trail_depth
+    trail_before = len(store.trail)
     post_alldiff(store, [x1, x2])
     pushed = store.trail[trail_before:]
     # nothing was filtered and nothing failed

@@ -88,7 +88,7 @@ def test_add_three_remove_three_restores_initial():
         wrapper.remove_variable()
         store.retract_last_variable()
     assert store.checksum() == initial
-    assert store.trail_depth == 0
+    assert len(store.trail) == 0
 
 
 def test_remove_restores_even_after_failed_add():

@@ -52,7 +52,7 @@ def test_new_store_empty():
     store = Store()
     assert store.domains == []
     assert store.constraints == []
-    assert store.trail_depth == 0
+    assert len(store.trail) == 0
 
 
 def test_first_variable_id_zero():
@@ -66,7 +66,7 @@ def test_push_pop_identity_on_fresh_store():
     token = store.push_checkpoint()
     store.pop_checkpoint(token)
     assert store.checksum() == before
-    assert store.trail_depth == 0
+    assert len(store.trail) == 0
 
 
 def test_add_variable_echo_and_counter():
@@ -104,9 +104,9 @@ def test_remove_value_basic():
 def test_remove_value_absent_is_noop():
     store = Store()
     var = store.add_variable({A})
-    depth = store.trail_depth
+    depth = len(store.trail)
     assert store.remove_value(var, B) is False
-    assert store.trail_depth == depth
+    assert len(store.trail) == depth
 
 
 def test_remove_value_wipeout():
@@ -134,7 +134,7 @@ def test_trail_grows_after_push():
     var = store.add_variable({A, B})
     token = store.push_checkpoint()
     store.remove_value(var, A)
-    assert store.trail_depth > token.depth + 1
+    assert len(store.trail) > token.depth + 1
 
 
 def test_nested_push_pop_restores_outer():
@@ -331,10 +331,92 @@ def test_retract_last_variable_guards():
     store.add_variable({A})
     token = store.push_checkpoint()
     with pytest.raises(NonLifoPop):
-        store.retract_last_variable()  # marker, not a creation, on top
+        store.retract_last_variable()  # the token, not a creation, on top
     store.pop_checkpoint(token)
     assert store.retract_last_variable() == 0
     assert store.domains == []
+
+
+def _posting_under_foreign_watch(store):
+    x = store.add_variable({A, B})
+    y = store.add_variable({A, B})
+    token = store.push_checkpoint()
+    handle = store.post_constraint(RecordingPropagator([x, y]))
+    store.watchers[y].append(handle.id + 1)  # not on the trail
+    return token, handle
+
+
+def _adoption_under_foreign_watch(store):
+    x = store.add_variable({A, B})
+    prop = store.post_constraint(AllDifferent([x])).propagator
+    y = store.add_variable({A, B, C})
+    token = store.push_checkpoint()
+    assert prop.add_variables(store, [y])[0]
+    store.watchers[y].append(prop.handle_id + 1)  # not on the trail
+    return token, store.constraints[prop.handle_id]
+
+
+@pytest.mark.parametrize(
+    "setup, frame",
+    [
+        (_posting_under_foreign_watch, "_Posted"),
+        (_adoption_under_foreign_watch, "_WatcherAdded"),
+    ],
+)
+def test_pop_refuses_a_watch_that_is_not_on_top(setup, frame):
+    store = Store()
+    token, handle = setup(store)
+    watchers = [list(w) for w in store.watchers]
+    with pytest.raises(NonLifoPop):
+        store.pop_checkpoint(token)
+    assert type(store.trail[-1]).__name__ == frame
+    assert store.trail[-1].handle is handle
+    assert [list(w) for w in store.watchers] == watchers
+    assert store.constraints[-1] is handle
+
+
+def _failed_init(store):
+    x1 = store.add_variable({A})
+    x2 = store.add_variable({A})
+
+    def step():
+        with pytest.raises(InitFailure):
+            store.post_constraint(AllDifferent([x1, x2]))
+
+    return step
+
+
+def _failed_adoption(store):
+    x = store.add_variable({A})
+    prop = store.post_constraint(AllDifferent([x])).propagator
+    y = store.add_variable({A})
+    return lambda: prop.add_variables(store, [y])[0]
+
+
+def _failed_deletion_fixpoint(store):
+    # the cascade of test_fixpoint_cascade_failure_two_constraints
+    x1 = store.add_variable({A, B})
+    x2 = store.add_variable({A, B, C})
+    x3 = store.add_variable({A, B, C})
+    y = store.add_variable({A, C})
+    store.post_constraint(AllDifferent([x1, x2, x3]))
+    store.post_constraint(AllDifferent([x2, x3, y]))
+    assert store.propagate_fixpoint()
+    return lambda: store.remove_value(x1, A) and store.propagate_fixpoint()
+
+
+@pytest.mark.parametrize("fail", [_failed_init, _failed_adoption, _failed_deletion_fixpoint])
+def test_validate_passes_on_a_failed_branch_and_after_its_pop(fail):
+    store = Store()
+    step = fail(store)
+    before = store.checksum()
+    token = store.push_checkpoint()
+    assert not step()
+    assert store.failed
+    store.validate()  # the watcher relation only
+    store.pop_checkpoint(token)
+    store.validate()
+    assert store.checksum() == before
 
 
 def test_domain_monotone_within_branch():
@@ -400,6 +482,28 @@ try:
     store.retract_last_variable()
 except NonLifoPop:
     print("store refused, trail depth", len(store.trail))
+
+from dynalldiff.alldiff import AllDifferent
+store = Store()
+x = store.add_variable({0, 1})
+token = store.push_checkpoint()
+handle = store.post_constraint(AllDifferent([x]))
+store.watchers[x].append(handle.id + 1)
+try:
+    store.pop_checkpoint(token)
+except NonLifoPop:
+    print("posting refused", type(store.trail[-1]).__name__, store.watchers)
+store = Store()
+x = store.add_variable({0, 1})
+prop = store.post_constraint(AllDifferent([x])).propagator
+y = store.add_variable({1, 2})
+token = store.push_checkpoint()
+prop.add_variables(store, [y])
+store.watchers[y].append(prop.handle_id + 1)
+try:
+    store.pop_checkpoint(token)
+except NonLifoPop:
+    print("watch refused", type(store.trail[-1]).__name__, store.watchers)
 """
     src = Path(__file__).resolve().parent.parent / "src"
     done = subprocess.run(
@@ -410,4 +514,9 @@ except NonLifoPop:
         env={"PYTHONPATH": str(src)},
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines() == ["graph refused", "store refused, trail depth 1"]
+    assert done.stdout.splitlines() == [
+        "graph refused",
+        "store refused, trail depth 1",
+        "posting refused _Posted [[0, 1]]",
+        "watch refused _WatcherAdded [[0], [0, 1]]",
+    ]

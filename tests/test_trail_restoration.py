@@ -31,6 +31,11 @@ from dynalldiff.store import Store
 LINKS = 5
 
 
+def watcher_stacks(store):
+    """The watcher stacks in order: `checksum` leaves out the order of delivery."""
+    return [list(stack) for stack in store.watchers]
+
+
 class Fault(Exception):
     """Raised by a stand-in for a matching function in the middle of a call."""
 
@@ -178,6 +183,7 @@ def test_pop_restores_the_store_after_a_fault_at_any_call(monkeypatch, step, poi
         k += 1
         store, prop, chain = linked_store()
         before, variables = store.checksum(), len(store.domains)
+        watchers = watcher_stacks(store)
         token, run = step(store, prop, chain)
         calls = []
         monkeypatch.setattr(owner, point, _fault_at(getattr(owner, point), k, calls))
@@ -193,6 +199,7 @@ def test_pop_restores_the_store_after_a_fault_at_any_call(monkeypatch, step, poi
         while len(store.domains) > variables:
             store.retract_last_variable()
         assert store.checksum() == before, k
+        assert watcher_stacks(store) == watchers, k
         store.validate()
         # the restored store runs the step as a fresh one does
         fresh, fresh_prop, fresh_chain = linked_store()
@@ -210,7 +217,7 @@ class TwoEngines(RuleBasedStateMachine):
     Both stores get the same variables in the same order, so ids match.
     Every ADD runs in its own checkpoint (the wrapper pushes its own), and
     POP undoes the newest ADD or push, checking that both stores return to
-    their checksums from before it.
+    their checksums and watcher stacks from before it.
     """
 
     def __init__(self):
@@ -219,10 +226,13 @@ class TwoEngines(RuleBasedStateMachine):
         self.generic = Store()
         self.wrapper = GenericDynamizer(self.generic, AllDifferent)
         self.prop = None  # the dynamic engine's propagator, once posted
-        self.undo = []  # (dynamic token or None, generic token or None, checksums)
+        self.undo = []  # (dynamic token or None, generic token or None, states)
 
-    def checksums(self):
-        return self.dynamic.checksum(), self.generic.checksum()
+    def states(self):
+        return [
+            (store.checksum(), watcher_stacks(store))
+            for store in (self.dynamic, self.generic)
+        ]
 
     @initialize(domains=st.lists(DOMAINS, max_size=VALUES - 1))
     def start(self, domains):
@@ -234,7 +244,7 @@ class TwoEngines(RuleBasedStateMachine):
     @precondition(lambda self: not self.dynamic.failed)
     @rule(domain=DOMAINS)
     def add(self, domain):
-        before = self.checksums()
+        before = self.states()
         var = self.dynamic.add_variable(domain)
         token = self.dynamic.push_checkpoint()
         if self.prop is None:
@@ -262,7 +272,7 @@ class TwoEngines(RuleBasedStateMachine):
 
     @rule()
     def push(self):
-        before = self.checksums()
+        before = self.states()
         self.undo.append(
             (self.dynamic.push_checkpoint(), self.generic.push_checkpoint(), before)
         )
@@ -280,7 +290,7 @@ class TwoEngines(RuleBasedStateMachine):
                 self.prop = None
         else:
             self.generic.pop_checkpoint(generic_token)
-        assert self.checksums() == before
+        assert self.states() == before
 
     @invariant()
     def engines_agree(self):
