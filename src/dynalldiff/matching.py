@@ -30,6 +30,17 @@ components of the variables it is given as seeds:
 variables the caller names, logging each flip.  Both then cost on the order
 of the touched component, not of the whole graph.
 
+A deletion of unmatched edges often needs no filter at all.  When x lost
+only unmatched arcs x -> a, `deletion_keeps_filtered` searches forward from
+x in what is left.  If x still reaches a free value, every path that used a
+lost arc still reaches one through x, and no cycle among the vertices that
+reach no free value ever passed through x.  If no lost value is free and x
+still reaches the owner of each lost value, every lost arc x -> a -> owner(a)
+has a detour x ~> owner(a).  Either way, which vertices reach a free value
+and the strongly connected components among the rest are as before, so the
+seeded filter would remove nothing and is not called.  The test stores
+nothing between calls; it costs the part of x's component it searches.
+
 Reachability first.  Inside the filtered part, the search from the free
 values runs before any strongly connected component is computed: every edge
 to a value that reaches a free value is kept without further work.  Tarjan
@@ -441,6 +452,54 @@ def remove_edges_from_g(
     if counters is not None:
         counters.filter_visits += visits
     return removed
+
+
+def deletion_keeps_filtered(
+    graph: ValueGraph,
+    matching: Matching,
+    var: int,
+    lost: Iterable[int],
+    counters: Optional[OpCounters] = None,
+) -> bool:
+    """True when deleting var's unmatched edges to `lost` left the graph filtered.
+
+    Call it after `remove_edges` deleted those edges from a filtered graph,
+    with the matching intact.  The search runs forward from `var` in the
+    oriented graph (unmatched edges var -> value, matched value -> owner)
+    and returns True as soon as it meets a free value, or once it has met
+    the owner of every lost value when none of them is free.  Then every
+    lost arc var -> a can be bypassed: a path through it still reaches a
+    free value from `var`, or reaches owner(a) another way.  So the values
+    that reach a free value, and the strongly connected components among
+    the rest, are exactly as before, and `remove_edges_from_g` seeded at
+    `var` would return [].  False means only that the search did not prove
+    it.  Each variable searched counts one filter visit.
+    """
+    adj_var = graph.adj_var
+    pair_of_val = matching.pair_of_val
+    # the owners still to meet; a lost free value leaves None in the set for
+    # good, so that only a free value met on the way proves anything
+    pending = {pair_of_val.get(val) for val in lost}
+    seen = {var}
+    frontier = [var]
+    visits = 0
+    try:
+        while frontier:
+            visits += 1
+            for val in adj_var[frontier.pop()]:
+                owner = pair_of_val.get(val)
+                if owner is None:
+                    return True
+                if owner not in seen:  # var's matched value leads back to var
+                    seen.add(owner)
+                    frontier.append(owner)
+                    pending.discard(owner)
+                    if not pending:
+                        return True
+        return False
+    finally:
+        if counters is not None:
+            counters.filter_visits += visits
 
 
 def remove_edges(

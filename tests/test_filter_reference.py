@@ -10,7 +10,9 @@ The graphs mix a Hall set (variables confined to as many values) with a
 region that reaches free values, at up to 35 variables, and include
 Latin-style rows and columns over 30 values.  Both the whole-graph filter
 and the seeded one (after an adoption or a deletion on a filtered graph)
-must keep exactly the reference's edges.
+must keep exactly the reference's edges, and when a deletion of unmatched
+edges passes `deletion_keeps_filtered`, the reference must keep every
+edge left.
 """
 
 import random
@@ -20,6 +22,7 @@ import pytest
 from dynalldiff.matching import (
     build_value_graph,
     compute_maximum_matching,
+    deletion_keeps_filtered,
     matching_covering_x,
     remove_edges,
     remove_edges_from_g,
@@ -121,21 +124,31 @@ def check_adoption(domains, var):
 
 
 def check_deletion(domains, rng):
-    """Filter, delete some edges of one variable, and filter from it as the seed."""
+    """Filter, delete some edges of one variable, and filter from it as the seed.
+
+    Returns the verdict of `deletion_keeps_filtered` when no matched edge
+    was lost, and None otherwise.
+    """
     graph, matching = check_whole_graph(domains)
     open_vars = [var for var, vals in graph.adj_var.items() if len(vals) > 1]
     if not open_vars:
-        return
+        return None
     var = rng.choice(open_vars)
     vals = sorted(graph.adj_var[var])
     doomed = [(var, val) for val in rng.sample(vals, rng.randint(1, len(vals) - 1))]
-    remove_edges(graph, matching, doomed)
+    damaged = remove_edges(graph, matching, doomed)
     expected = supported_edges(domains_of(graph))
+    keeps = None
+    if not damaged:
+        keeps = deletion_keeps_filtered(graph, matching, var, [v for _, v in doomed])
+        if keeps:
+            assert expected == edge_set(graph)
     if matching_covering_x(graph, matching, uncovered=[var]) is None:
         assert expected is None
-        return
+        return keeps
     remove_edges_from_g(graph, matching, seeds=[var])
     assert edge_set(graph) == expected
+    return keeps
 
 
 def test_reference_on_a_forced_value():
@@ -148,22 +161,31 @@ def test_reference_on_a_forced_value():
 @pytest.mark.parametrize("free", [0, 1, 4])
 def test_hall_graphs_match_reference(free):
     rng = random.Random(100 + free)
+    verdicts = set()
     for p in range(2, 36):
         for _ in range(3):
             domains = hall_graph(rng, p, free)
             check_whole_graph(domains)
             check_adoption(domains, rng.randrange(p))
-            check_deletion(domains, rng)
+            verdicts.add(check_deletion(domains, rng))
+    assert {True, False} <= verdicts  # both branches of the deletion check
 
 
 @pytest.mark.parametrize("free", [0, 6])
 def test_latin_lines_match_reference(free):
     rng = random.Random(200 + free)
+    more = random.Random(300 + free)  # extra deletions, off the main stream
+    verdicts = set()
     for _ in range(20):
         domains = latin_line(rng, 30, free)
         check_whole_graph(domains)
         check_adoption(domains, rng.choice(sorted(domains)))
-        check_deletion(domains, rng)
+        verdicts.add(check_deletion(domains, rng))
+        # with no free value a detour needs a cycle left through the lost
+        # value's owner, which one random deletion per line rarely leaves
+        for _ in range(3):
+            verdicts.add(check_deletion(domains, more))
+    assert {True, False} <= verdicts  # both branches of the deletion check
 
 
 def test_hall_graphs_prune_and_keep():

@@ -3,7 +3,9 @@
 Adoption and deletion re-filter only the connected components of the value
 graph that the change touched.  That is exact only if the rest of the graph
 was already filtered, so after every consistent step a whole-graph filter
-over a copy of each live propagator must find nothing left to remove.
+over a copy of each live propagator must find nothing left to remove.  A
+deletion of unmatched edges that `deletion_keeps_filtered` proves harmless
+skips the filter, and must leave the store as the filter would.
 """
 
 import copy
@@ -14,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dynalldiff.alldiff
 from dynalldiff.alldiff import AllDifferent
 from dynalldiff.errors import DomainWipeout, InitFailure, KernelError
 from dynalldiff.matching import remove_edges_from_g
@@ -225,3 +228,88 @@ def test_filter_visits_per_adoption_flat_on_disjoint_blocks():
     large = [n for p, n in visits.items() if 570 <= p < 630]
     assert len(small) > 40 and len(large) > 40
     assert statistics.mean(large) <= 1.5 * statistics.mean(small)
+
+
+def latin_rectangle_run(seed, steps=200):
+    """A seeded interleaving of ADD, DEL, push and pop on a Latin rectangle.
+
+    Three rows of four cells over the values 0..5 hold the planted
+    rectangle (r + c) % 6 plus two to four other values, under a row and a
+    column alldifferent each.  ADD adopts a new cell into one row and one
+    column and DEL removes a value of an open cell, each in its own
+    checkpoint; pop undoes the newest ADD, DEL or push, and follows every
+    failure.  Returns (consistent, checksum) per step.
+    """
+    rng = random.Random(seed)
+    store = Store()
+    cells = [
+        [store.add_variable({(r + c) % 6, *rng.sample(range(6), rng.randint(2, 4))})
+         for c in range(4)]
+        for r in range(3)
+    ]
+    rows = [store.post_constraint(AllDifferent(row)).propagator for row in cells]
+    columns = [
+        store.post_constraint(AllDifferent(list(col))).propagator
+        for col in zip(*cells)
+    ]
+    log = [(store.propagate_fixpoint(), store.checksum())]
+    undo = []  # (token, whether it was an ADD)
+    for _ in range(steps):
+        op = "pop" if store.failed else rng.choice(["ADD", "DEL", "push", "pop"])
+        if op == "pop" and undo:
+            token, added = undo.pop()
+            store.pop_checkpoint(token)
+            if added:
+                store.retract_last_variable()
+        elif op == "push":
+            undo.append((store.push_checkpoint(), False))
+        elif op == "ADD":
+            var = store.add_variable(rng.sample(range(6), rng.randint(2, 5)))
+            undo.append((store.push_checkpoint(), True))
+            if (
+                rng.choice(rows).add_variables(store, [var])[0]
+                and rng.choice(columns).add_variables(store, [var])[0]
+            ):
+                store.propagate_fixpoint()
+        elif op == "DEL":
+            open_vars = [v for v, dom in enumerate(store.domains) if len(dom) > 1]
+            if open_vars:
+                var = rng.choice(open_vars)
+                undo.append((store.push_checkpoint(), False))
+                store.remove_value(var, rng.choice(sorted(store.domains[var])))
+                store.propagate_fixpoint()
+        log.append((not store.failed, store.checksum()))
+    return log
+
+
+def _never_keeps(*args, **kwargs):
+    return False
+
+
+def test_skipping_the_filter_is_invisible(monkeypatch):
+    # forcing the check to False takes the filter on every deletion, as
+    # before the check existed: verdicts and checksums must agree per step
+    for seed in range(4):
+        skipping = latin_rectangle_run(seed)
+        with monkeypatch.context() as patch:
+            patch.setattr(dynalldiff.alldiff, "deletion_keeps_filtered", _never_keeps)
+            filtering = latin_rectangle_run(seed)
+        assert skipping == filtering, seed
+        assert {True, False} == {consistent for consistent, _ in skipping}
+
+
+def test_skipping_the_filter_saves_filter_calls(monkeypatch):
+    real = dynalldiff.alldiff.remove_edges_from_g
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(dynalldiff.alldiff, "remove_edges_from_g", counted)
+    latin_rectangle_run(0)
+    skipping = len(calls)
+    monkeypatch.setattr(dynalldiff.alldiff, "deletion_keeps_filtered", _never_keeps)
+    latin_rectangle_run(0)
+    filtering = len(calls) - skipping
+    assert 0 < skipping < filtering

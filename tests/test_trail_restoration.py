@@ -55,10 +55,16 @@ def _instead_of_the_call(real):
     return stand_in
 
 
-def chain_store():
-    """x_i in {i, i+1}, matched x_i = i; value LINKS is free."""
+def chain_store(fork=False):
+    """x_i in {i, i+1}, matched x_i = i; value LINKS is free.
+
+    With `fork`, x0 also holds LINKS + 1, a second free value.
+    """
+    domains = [{i, i + 1} for i in range(LINKS)]
+    if fork:
+        domains[0].add(LINKS + 1)
     store = Store()
-    chain = [store.add_variable({i, i + 1}) for i in range(LINKS)]
+    chain = [store.add_variable(domain) for domain in domains]
     prop = store.post_constraint(AllDifferent(chain)).propagator
     assert store.propagate_fixpoint()
     return store, prop, chain
@@ -81,17 +87,36 @@ def delete(store, prop, chain):
     )
 
 
-@pytest.mark.parametrize("step", [adopt, delete])
+def delete_unmatched(store, prop, chain):
+    # x0 loses 1, x1's value, and still reaches the free value LINKS + 1:
+    # `deletion_keeps_filtered` runs after `remove_edges` changed the graph
+    token = store.push_checkpoint()
+    return token, lambda: (
+        store.remove_value(chain[0], 1) and store.propagate_fixpoint()
+    )
+
+
+FAULTS = [
+    ("matching_covering_x", _after_the_real_call),
+    ("matching_covering_x", _instead_of_the_call),
+    ("remove_edges_from_g", _instead_of_the_call),
+]
+AFTER = {  # the domains a step leaves on a fresh store
+    adopt: [{i + 1} for i in range(LINKS)],
+    delete: [{i + 1} for i in range(LINKS)],
+    delete_unmatched: [{0, LINKS + 1}] + [{i, i + 1} for i in range(1, LINKS)],
+}
+
+
 @pytest.mark.parametrize(
-    "name, fault",
-    [
-        ("matching_covering_x", _after_the_real_call),
-        ("matching_covering_x", _instead_of_the_call),
-        ("remove_edges_from_g", _instead_of_the_call),
-    ],
+    "name, fault, step",
+    [(name, fault, step) for name, fault in FAULTS for step in (adopt, delete)]
+    + [("deletion_keeps_filtered", _instead_of_the_call, delete_unmatched)],
+    ids=lambda x: getattr(x, "__name__", x),
 )
-def test_pop_restores_the_store_after_a_fault(monkeypatch, step, name, fault):
-    store, prop, chain = chain_store()
+def test_pop_restores_the_store_after_a_fault(monkeypatch, name, fault, step):
+    fork = step is delete_unmatched
+    store, prop, chain = chain_store(fork)
     before = store.checksum()
     token, run = step(store, prop, chain)
     monkeypatch.setattr(
@@ -106,11 +131,11 @@ def test_pop_restores_the_store_after_a_fault(monkeypatch, step, name, fault):
     assert store.checksum() == before
     store.validate()
     # the restored store runs the step as a fresh one does
-    fresh, fresh_prop, fresh_chain = chain_store()
+    fresh, fresh_prop, fresh_chain = chain_store(fork)
     assert step(store, prop, chain)[1]() is True
     assert step(fresh, fresh_prop, fresh_chain)[1]() is True
     assert store.checksum() == fresh.checksum()
-    assert all(store.domain(x) == {i + 1} for i, x in enumerate(chain))
+    assert [store.domain(x) for x in chain] == AFTER[step]
 
 
 def linked_store():
