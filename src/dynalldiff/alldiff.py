@@ -12,8 +12,8 @@ its cost follows the size of the touched component, not of the whole graph:
 * a deletion removes edges, repairs the matching in place from `var` only
   when its matched edge was lost, and re-filters `var`'s component (a part
   the deletion splits off loses no support; see `dynalldiff.matching`),
-  unless only unmatched edges fell and `deletion_keeps_filtered` proves
-  that every lost arc has a detour, so nothing can have lost support;
+  unless `deletion_keeps_filtered` proves that every lost arc has a
+  detour, so nothing can have lost support;
 * an adoption adds the new variables' edges (touching only the new
   variables), extends the matching in place from them, and re-filters
   their component.
@@ -116,11 +116,10 @@ class AllDifferent:
 
         Edges already absent from the graph (filtered earlier by this very
         propagator) are skipped; they carry no new information.  When var
-        lost its matched edge, the matching is repaired from var and var's
-        component re-filtered.  When it lost only unmatched edges and
-        `deletion_keeps_filtered` finds a detour around each of them, the
-        graph is still filtered and the filter is not called; otherwise
-        var's component is re-filtered.
+        lost its matched edge, the matching is first repaired from var.
+        Then, when `deletion_keeps_filtered` finds a detour around each lost
+        edge, the graph is still filtered and the filter is not called;
+        otherwise var's component is re-filtered.
         """
         graph, matching = self.graph, self.matching
         doomed = [(var, v) for v in values if graph.has_edge(var, v)]
@@ -133,12 +132,12 @@ class AllDifferent:
             matched = matching.pair_of_var.get(var)
             if matched in values:  # remove_edges unmatches var: log it as a flip
                 delta.flips.append((var, matched))
-            if remove_edges(graph, matching, doomed):
-                if matching_covering_x(
-                    graph, matching, store.counters, [var], delta.flips
-                ) is None:
-                    return False
-            elif deletion_keeps_filtered(
+            if remove_edges(graph, matching, doomed) and matching_covering_x(
+                graph, matching, store.counters, [var], delta.flips
+            ) is None:
+                return False
+            # after a repair every lost edge is unmatched too (see the check)
+            if deletion_keeps_filtered(
                 graph, matching, var, [val for _, val in doomed], store.counters
             ):
                 return True

@@ -38,8 +38,12 @@ reach no free value ever passed through x.  If no lost value is free and x
 still reaches the owner of each lost value, every lost arc x -> a -> owner(a)
 has a detour x ~> owner(a).  Either way, which vertices reach a free value
 and the strongly connected components among the rest are as before, so the
-seeded filter would remove nothing and is not called.  The test stores
-nothing between calls; it costs the part of x's component it searches.
+seeded filter would remove nothing and is not called.  When x lost its
+matched edge, the test runs after the repair: the repaired matching also
+covers X in the graph before the deletion, which was filtered whatever
+matching it is read with, and under it every lost arc is unmatched, so the
+same argument holds.  The test stores nothing between calls; it costs the
+part of x's component it searches.
 
 Reachability first.  Inside the filtered part, the search from the free
 values runs before any strongly connected component is computed: every edge
@@ -461,19 +465,22 @@ def deletion_keeps_filtered(
     lost: Iterable[int],
     counters: Optional[OpCounters] = None,
 ) -> bool:
-    """True when deleting var's unmatched edges to `lost` left the graph filtered.
+    """True when deleting var's edges to `lost` left the graph filtered.
 
     Call it after `remove_edges` deleted those edges from a filtered graph,
-    with the matching intact.  The search runs forward from `var` in the
-    oriented graph (unmatched edges var -> value, matched value -> owner)
-    and returns True as soon as it meets a free value, or once it has met
-    the owner of every lost value when none of them is free.  Then every
-    lost arc var -> a can be bypassed: a path through it still reaches a
-    free value from `var`, or reaches owner(a) another way.  So the values
-    that reach a free value, and the strongly connected components among
-    the rest, are exactly as before, and `remove_edges_from_g` seeded at
-    `var` would return [].  False means only that the search did not prove
-    it.  Each variable searched counts one filter visit.
+    with the matching intact, or after `matching_covering_x` repaired it
+    when var's matched edge was among them: the repaired matching covers X
+    in the graph before the deletion too, and leaves every lost edge
+    unmatched.  The search runs forward from `var` in the oriented graph
+    (unmatched edges var -> value, matched value -> owner) and returns True
+    as soon as it meets a free value, or once it has met the owner of every
+    lost value when none of them is free.  Then every lost arc var -> a can
+    be bypassed: a path through it still reaches a free value from `var`,
+    or reaches owner(a) another way.  So the values that reach a free
+    value, and the strongly connected components among the rest, are
+    exactly as before, and `remove_edges_from_g` seeded at `var` would
+    return [].  False means only that the search did not prove it.  Each
+    variable searched counts one filter visit.
     """
     adj_var = graph.adj_var
     pair_of_val = matching.pair_of_val

@@ -11,8 +11,8 @@ region that reaches free values, at up to 35 variables, and include
 Latin-style rows and columns over 30 values.  Both the whole-graph filter
 and the seeded one (after an adoption or a deletion on a filtered graph)
 must keep exactly the reference's edges, and when a deletion of unmatched
-edges passes `deletion_keeps_filtered`, the reference must keep every
-edge left.
+edges, or of a matched edge once the matching is repaired, passes
+`deletion_keeps_filtered`, the reference must keep every edge left.
 """
 
 import random
@@ -126,8 +126,9 @@ def check_adoption(domains, var):
 def check_deletion(domains, rng):
     """Filter, delete some edges of one variable, and filter from it as the seed.
 
-    Returns the verdict of `deletion_keeps_filtered` when no matched edge
-    was lost, and None otherwise.
+    Returns (whether the matched edge was lost, the verdict of
+    `deletion_keeps_filtered` once the matching covers X again), or None
+    when no deletion was made or the repair failed.
     """
     graph, matching = check_whole_graph(domains)
     open_vars = [var for var, vals in graph.adj_var.items() if len(vals) > 1]
@@ -138,17 +139,19 @@ def check_deletion(domains, rng):
     doomed = [(var, val) for val in rng.sample(vals, rng.randint(1, len(vals) - 1))]
     damaged = remove_edges(graph, matching, doomed)
     expected = supported_edges(domains_of(graph))
-    keeps = None
-    if not damaged:
-        keeps = deletion_keeps_filtered(graph, matching, var, [v for _, v in doomed])
-        if keeps:
-            assert expected == edge_set(graph)
     if matching_covering_x(graph, matching, uncovered=[var]) is None:
         assert expected is None
-        return keeps
+        return None
+    keeps = deletion_keeps_filtered(graph, matching, var, [v for _, v in doomed])
+    if keeps:
+        assert expected == edge_set(graph)
     remove_edges_from_g(graph, matching, seeds=[var])
     assert edge_set(graph) == expected
-    return keeps
+    return damaged, keeps
+
+
+# (matched edge lost, check verdict): both verdicts, with and without a repair
+BOTH_PATHS_BOTH_VERDICTS = {(False, True), (False, False), (True, True), (True, False)}
 
 
 def test_reference_on_a_forced_value():
@@ -168,7 +171,7 @@ def test_hall_graphs_match_reference(free):
             check_whole_graph(domains)
             check_adoption(domains, rng.randrange(p))
             verdicts.add(check_deletion(domains, rng))
-    assert {True, False} <= verdicts  # both branches of the deletion check
+    assert BOTH_PATHS_BOTH_VERDICTS <= verdicts
 
 
 @pytest.mark.parametrize("free", [0, 6])
@@ -185,7 +188,7 @@ def test_latin_lines_match_reference(free):
         # value's owner, which one random deletion per line rarely leaves
         for _ in range(3):
             verdicts.add(check_deletion(domains, more))
-    assert {True, False} <= verdicts  # both branches of the deletion check
+    assert BOTH_PATHS_BOTH_VERDICTS <= verdicts
 
 
 def test_hall_graphs_prune_and_keep():

@@ -313,3 +313,30 @@ def test_skipping_the_filter_saves_filter_calls(monkeypatch):
     latin_rectangle_run(0)
     filtering = len(calls) - skipping
     assert 0 < skipping < filtering
+
+
+def test_a_repaired_deletion_can_skip_the_filter(monkeypatch):
+    # two variables over three values: after x0 loses its matched value the
+    # repair leaves one value free, which x0 reaches, so nothing is filtered
+    store = Store()
+    xs = [store.add_variable({0, 1, 2}) for _ in range(2)]
+    prop = store.post_constraint(AllDifferent(xs)).propagator
+    assert store.propagate_fixpoint()
+    lost = prop.matching.pair_of_var[xs[0]]
+    real = dynalldiff.alldiff.remove_edges_from_g
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(dynalldiff.alldiff, "remove_edges_from_g", counted)
+    token = store.push_checkpoint()
+    assert store.remove_value(xs[0], lost) and store.propagate_fixpoint()
+    assert calls == []
+    assert prop.matching.covers(xs) and lost not in prop.graph.adj_var[xs[0]]
+    assert [store.domain(x) for x in xs] == [{0, 1, 2} - {lost}, {0, 1, 2}]
+    store.validate()
+    assert_filtered(store)
+    store.pop_checkpoint(token)
+    store.validate()

@@ -80,7 +80,8 @@ def adopt(store, prop, chain):
 
 
 def delete(store, prop, chain):
-    # x0 loses its matched value 0: the repair shifts every x_i up one value
+    # x0 loses its matched value 0: the repair shifts every x_i up one value,
+    # and `deletion_keeps_filtered` runs after it flipped the matching
     token = store.push_checkpoint()
     return token, lambda: (
         store.remove_value(chain[0], 0) and store.propagate_fixpoint()
@@ -111,7 +112,8 @@ AFTER = {  # the domains a step leaves on a fresh store
 @pytest.mark.parametrize(
     "name, fault, step",
     [(name, fault, step) for name, fault in FAULTS for step in (adopt, delete)]
-    + [("deletion_keeps_filtered", _instead_of_the_call, delete_unmatched)],
+    + [("deletion_keeps_filtered", _instead_of_the_call, step)
+       for step in (delete, delete_unmatched)],
     ids=lambda x: getattr(x, "__name__", x),
 )
 def test_pop_restores_the_store_after_a_fault(monkeypatch, name, fault, step):
