@@ -30,6 +30,14 @@ components of the variables it is given as seeds:
 variables the caller names, logging each flip.  Both then cost on the order
 of the touched component, not of the whole graph.
 
+Augmenting.  Every matching, at `init` as after an adoption or a lost
+matched edge, grows by one breadth-first search per uncovered variable,
+which stops at the first free value it meets, so each path it flips is a
+shortest one.  One search each is enough (Kuhn): a variable with no
+augmenting path now gets none after another variable's augmentation, so a
+failed search proves that no matching covers X.  A one-variable repair
+whose variable sees a free value visits that variable alone.
+
 A deletion of unmatched edges often needs no filter at all.  When x lost
 only unmatched arcs x -> a, `deletion_keeps_filtered` searches forward from
 x in what is left.  If x still reaches a free value, every path that used a
@@ -61,12 +69,9 @@ closed under the orientation.
 from __future__ import annotations
 
 import hashlib
-from collections import deque
 from typing import Iterable, Optional
 
 from .errors import KernelError, UncoveredVariable, UnknownEdge
-
-_INF = -1
 
 
 class OpCounters:
@@ -178,97 +183,78 @@ def build_value_graph(
     return graph
 
 
-def _augment_phase(
+def _augment(
     graph: ValueGraph,
     matching: Matching,
-    sources: list[int],
+    source: int,
     counters: Optional[OpCounters],
-    log: Optional[list[tuple[int, Optional[int]]]] = None,
-) -> int:
-    """One Hopcroft-Karp phase: layered BFS from sources, then shortest DFS.
+    log: Optional[list[tuple[int, Optional[int]]]],
+) -> bool:
+    """Match the unmatched `source` along a shortest augmenting path; False if none.
 
-    Returns the number of augmenting paths applied.  Sources must be
-    currently unmatched variable vertices.  The DFS is iterative, so path
-    length is not bounded by the recursion limit, and a path is applied
-    only once it is complete; each (var, previous value or None) flip is
-    appended to `log` when one is given.
+    A breadth-first search over the oriented graph from `source`: each
+    reached variable keeps the variable it was reached from, through its
+    matched value.  Values are met in layer order, so the first free value
+    met ends a shortest path.  The path is flipped deepest first, and each
+    (var, previous value or None) flip is appended to `log` when one is
+    given.  When the queue runs dry the reached variables have fewer
+    neighbouring values than members, so no matching covers them all.
+    Each variable taken off the queue counts one augment visit.
     """
     adj_var = graph.adj_var
     pair_of_var = matching.pair_of_var
     pair_of_val = matching.pair_of_val
-    dist = dict.fromkeys(sources, 0)  # BFS layer of each reached variable
-    queue: deque[int] = deque(sources)
+    reached_from: dict[int, Optional[int]] = {source: None}
+    queue = [source]
     visits = 0
-    shortest = _INF
-    while queue:
-        var = queue.popleft()
-        visits += 1
-        if shortest != _INF and dist[var] >= shortest:
-            continue
-        for val in adj_var[var]:
-            owner = pair_of_val.get(val)
-            if owner is None:
-                if shortest == _INF:
-                    shortest = dist[var] + 1
-            elif owner not in dist:
-                dist[owner] = dist[var] + 1
-                queue.append(owner)
-    if shortest == _INF:
-        if counters is not None:
-            counters.augment_visits += visits
-        return 0
-    applied = 0
-    for source in sources:
-        if source in pair_of_var or dist[source] != 0:
-            continue
-        visits += 1
-        var, vals = source, iter(adj_var[source])
-        above: list = []  # (var, its remaining values, value taken) per level
-        while True:
-            layer = dist[var] + 1
-            for val in vals:
+    try:
+        for var in queue:  # grows while it is walked
+            visits += 1
+            for val in adj_var[var]:
                 owner = pair_of_val.get(val)
                 if owner is None:
-                    if layer == shortest:
-                        break
-                elif dist.get(owner, _INF) == layer:
-                    break
-            else:  # a dead end: it leaves the layering, and we backtrack
-                dist[var] = _INF
-                if not above:
-                    break
-                var, vals, _ = above.pop()
-                continue
-            above.append((var, vals, val))
-            if owner is not None:  # descend to the value's owner
-                var, vals = owner, iter(adj_var[owner])
-                visits += 1
-                continue
-            # a free value on the last layer: flip the path, deepest first
-            for var, _, val in reversed(above):
-                if log is not None:
-                    log.append((var, pair_of_var.get(var)))
-                matching.match(var, val)
-            applied += 1
-            break
-    if counters is not None:
-        counters.augment_visits += visits
-    return applied
+                    while var is not None:
+                        taken = pair_of_var.get(var)
+                        if log is not None:
+                            log.append((var, taken))
+                        matching.match(var, val)
+                        var, val = reached_from[var], taken
+                    return True
+                if owner not in reached_from:
+                    reached_from[owner] = var
+                    queue.append(owner)
+        return False
+    finally:
+        if counters is not None:
+            counters.augment_visits += visits
 
 
 def compute_maximum_matching(
     graph: ValueGraph, counters: Optional[OpCounters] = None
 ) -> Matching:
-    """Hopcroft-Karp maximum matching.
+    """Maximum matching by one shortest augmenting search per variable.
+
+    One pass is enough (Kuhn, 1955).  When no augmenting path starts at x,
+    the variables x reaches have all their values matched among
+    themselves.  An augmenting path from another variable cannot enter
+    that closed set, since it could not leave it again to end at a free
+    value, so the set keeps its matching and x never gets a path later.
+    After the pass no unmatched variable has an augmenting path, so the
+    matching is maximum (Berge).
+
+    Known limit: the worst case is O(p*m), against O(sqrt(p)*m) for
+    Hopcroft-Karp.  On size-6 random domains (p = 1600, d = 2000) and on
+    planted permutations plus 5 random values (p = 1600 and 3200), it
+    still took 0.45 to 0.5 of Hopcroft-Karp's time; no graph built to be
+    adversarial was tried.
 
     Repeatable without sorting: the order in which a set of ints is walked
     depends only on the insertions and removals that built it.
     """
     matching = Matching()
-    while True:
-        free = [v for v in graph.adj_var if v not in matching.pair_of_var]
-        if not free or _augment_phase(graph, matching, free, counters) == 0:
-            return matching
+    for var in graph.adj_var:
+        _augment(graph, matching, var, counters, None)
+    return matching
 
 
 def matching_covering_x(
@@ -280,26 +266,28 @@ def matching_covering_x(
 ) -> Optional[Matching]:
     """Extend `matching` in place to cover every variable vertex, or return None.
 
-    Augmenting paths start at `uncovered`, the variables the matching
-    misses; without it, or when it does not name all of them, they are
-    found by a scan of every variable.  Covered variables may be rerouted
-    but stay covered.  Each flip is appended to `log` as (var, previous
-    value or None).  Returns `matching` itself; on failure this call's
-    flips are undone and dropped from `log`, so `matching` is as it was.
+    One shortest augmenting search runs from each variable of `uncovered`,
+    the variables the matching misses; without it, or when it does not
+    name all of them, every variable is scanned.  Covered variables may be
+    rerouted but stay covered.  The first search that fails proves that no
+    matching covers X, because its reached variables have fewer values
+    than members.  Each flip is appended to `log` as (var, previous value
+    or None).  Returns `matching` itself; on failure this call's flips are
+    undone and dropped from `log`, so `matching` is as it was.
     """
     pair_of_var = matching.pair_of_var
     if uncovered is None or matching.size + len(uncovered) != len(graph.adj_var):
         uncovered = list(graph.adj_var)
     flips = [] if log is None else log
     start = len(flips)
-    while True:
-        uncovered = [v for v in uncovered if v not in pair_of_var]
-        if not uncovered:
-            return matching
-        if _augment_phase(graph, matching, uncovered, counters, flips) == 0:
+    for var in uncovered:
+        if var not in pair_of_var and not _augment(
+            graph, matching, var, counters, flips
+        ):
             matching.assign(reversed(flips[start:]))
             del flips[start:]
             return None
+    return matching
 
 
 def _component(

@@ -286,15 +286,16 @@ def test_criterion_08_space_claim_trend():
     generic_adds = [s for s in generic.steps if s.op == "ADD"]
     for row in dynamic_adds[1:]:  # one-variable adoptions
         assert row.trailed_cells <= 4 * d + 16, row
-        assert row.augment_visits <= 3 * row.m, row
+        # d > p: the new variable's own domain holds a free value
+        assert row.augment_visits == 1, row
     for row in generic_adds:
         assert row.trailed_cells >= row.m, row
-        assert row.augment_visits >= 2 * row.p, row
+        assert row.augment_visits >= row.p, row  # each variable searched once
     elapsed = time.perf_counter() - start
     assert elapsed < 10, f"took {elapsed:.1f} s"
     _ok(
         8,
-        "dynamic adoptions stay O(d) in trail and O(m) in search; "
+        "dynamic adoptions stay O(d) in trail and search one variable; "
         f"generic adds pay >= m cells and a full re-match ({elapsed:.2f} s)",
     )
 

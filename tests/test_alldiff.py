@@ -88,6 +88,33 @@ def test_propagate_unmatched_edge_fast_path_no_augmenting():
     assert store.counters.augment_visits == visits_before
 
 
+@pytest.mark.parametrize("p", [10, 200])
+def test_repair_with_a_free_value_at_hand_searches_one_variable(p):
+    # p variables over p + 1 shared values: every value but one has an
+    # owner, so the new variable's values have p owners, yet its own
+    # domain holds a free value and its search need go no further
+    store = Store()
+    vars_ = [store.add_variable(set(range(p + 1))) for _ in range(p)]
+    handle = post_alldiff(store, vars_)
+    prop = store.constraints[handle.id].propagator
+    x = store.add_variable(set(range(p + 2)))
+    before = store.counters.augment_visits
+    ok, _delta = prop.add_variables(store, [x])
+    assert ok and store.propagate_fixpoint()
+    assert store.counters.augment_visits - before == 1
+
+    # a variable whose matched value goes while a free value is at hand
+    matching = prop.matching
+    free = set(prop.graph.adj_val) - set(matching.pair_of_val)
+    var = next(
+        v for v in prop.graph.adj_var if prop.graph.adj_var[v] & free
+    )
+    before = store.counters.augment_visits
+    assert store.remove_value(var, matching.pair_of_var[var])
+    assert store.propagate_fixpoint()
+    assert store.counters.augment_visits - before == 1
+
+
 def test_propagate_two_by_two_forces_partner():
     # deleting (x1, A) reroutes the matching and the filter pins x2 to A
     store = Store()

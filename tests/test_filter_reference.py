@@ -4,7 +4,7 @@ The reference keeps edge (x, a) iff some matching that covers every
 variable has x = a.  It finds one covering matching with Kuhn's augmenting
 search, then, for each edge off that matching, gives a to x and re-augments
 the one variable that lost a.  It shares no code with the filter's strongly
-connected components, its free-value search or Hopcroft-Karp.
+connected components, its free-value search or its augmenting search.
 
 The graphs mix a Hall set (variables confined to as many values) with a
 region that reaches free values, at up to 35 variables, and include

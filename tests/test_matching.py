@@ -1,4 +1,4 @@
-"""Value graph, Hopcroft-Karp, covering extension and the edge filter."""
+"""Value graph, maximum matching, covering extension and the edge filter."""
 
 import itertools
 import random
@@ -181,6 +181,69 @@ def test_reversed_flip_log_restores_after_a_fault_in_match(monkeypatch):
             assert matching.pair_of_var == start.pair_of_var
             assert matching.pair_of_val == start.pair_of_val
     assert twice > 0
+
+
+def _alternating_layers(graph, matching, start):
+    """Variables reached from `start` by alternating paths, layer by layer."""
+    layers, seen = [[start]], {start}
+    while layers[-1]:
+        nxt = []
+        for var in layers[-1]:
+            for val in graph.adj_var[var]:
+                owner = matching.pair_of_val.get(val)
+                if owner is not None and owner not in seen:
+                    seen.add(owner)
+                    nxt.append(owner)
+        layers.append(nxt)
+    return layers[:-1]
+
+
+def test_one_variable_repair_flips_a_shortest_path_or_proves_hall():
+    # each flip costs 3 trailed cells, so a repair must flip no more
+    # variables than the shortest alternating path to a free value holds
+    rng = random.Random(29)
+    repaired = failed = longer = 0
+    for _ in range(400):
+        graph = build_value_graph(random_graph(rng))
+        matching = compute_maximum_matching(graph)
+        uncovered = [v for v in graph.adj_var if v not in matching.pair_of_var]
+        if not uncovered:  # X covered: x loses its matched edge
+            x = rng.choice(list(graph.adj_var))
+            remove_edges(graph, matching, [(x, matching.pair_of_var[x])])
+        elif len(uncovered) == 1:
+            (x,) = uncovered
+        else:
+            continue
+        layers = _alternating_layers(graph, matching, x)
+        shortest = next(
+            (
+                depth + 1
+                for depth, layer in enumerate(layers)
+                if any(
+                    val not in matching.pair_of_val
+                    for var in layer
+                    for val in graph.adj_var[var]
+                )
+            ),
+            None,
+        )
+        before = dict(matching.pair_of_var)
+        log = []
+        result = matching_covering_x(graph, matching, uncovered=[x], log=log)
+        if result is None:
+            failed += 1
+            assert shortest is None
+            assert log == [] and matching.pair_of_var == before
+            members = [var for layer in layers for var in layer]
+            values = set().union(*(graph.adj_var[var] for var in members))
+            assert len(values) < len(members)  # a Hall violation
+            assert max_matching_bruteforce(graph.edges()) < len(graph.adj_var)
+        else:
+            repaired += 1
+            assert len(log) == shortest
+            longer += shortest > 1
+            assert matching.covers(graph.adj_var)
+    assert repaired and failed and longer
 
 
 def test_covering_extension_size_matches_scratch():
