@@ -2,11 +2,12 @@
 
 A trail-backed variable store, a bipartite value-graph matching layer, an
 alldifferent propagator that adopts and retracts variables in LIFO order,
-the generic deactivate-and-repost dynamization baseline, brute-force
-oracles, and a benchmark CLI comparing the two methods' operation counts.
+the two dynamization methods behind one interface (adoption in place and
+the generic deactivate-and-repost baseline), brute-force oracles, and a
+benchmark CLI comparing the two methods' operation counts.
 """
 
-from .alldiff import AllDifferent
+from .alldiff import AdoptingDynamizer, AllDifferent
 from .errors import (
     AlreadyInactive,
     DomainWipeout,
@@ -53,6 +54,7 @@ from .scenario import (
 from .store import CheckpointToken, ConstraintHandle, Store
 
 __all__ = [
+    "AdoptingDynamizer",
     "AllDifferent",
     "AlreadyInactive",
     "CheckpointToken",

@@ -24,13 +24,16 @@ changes anything, and logs every change into it as the change happens, so
 in the middle of the call.  An adoption trails only its own vertices and
 edges, the flips of its augmenting path and the edges its re-filter removed,
 never a copy of the graph.
+
+`AdoptingDynamizer` grows one such propagator by adoption, a checkpoint
+per added variable, behind the interface of `GenericDynamizer`.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Optional
 
-from .errors import DomainWipeout, DuplicateVariable, KernelError
+from .errors import DomainWipeout, DuplicateVariable, EmptyHistory, KernelError
 from .matching import (
     Matching,
     ValueGraph,
@@ -42,6 +45,7 @@ from .matching import (
     remove_edges,
     remove_edges_from_g,
 )
+from .store import CheckpointToken
 
 
 class Delta:
@@ -154,7 +158,8 @@ class AllDifferent:
         """Adopt new variables; returns (consistent, the call's Delta).
 
         On success the matching covers the extended set and the re-filter's
-        deletions are pushed to the store.  On failure the store branch is
+        deletions are pushed to the store.  On failure, or on a branch that
+        has failed already (no search runs there), the store branch is
         marked failed and the Delta holds the graph additions only.
         """
         batch = list(new_vars)
@@ -175,7 +180,7 @@ class AllDifferent:
                 for val in store.domains[var]:
                     graph.add_edge(var, val)
                     delta.added.append((var, val))
-            if matching_covering_x(
+            if store.failed or matching_covering_x(
                 graph, matching, store.counters, batch, delta.flips
             ) is None:
                 store._fail()
@@ -258,3 +263,44 @@ class AllDifferent:
                 raise KernelError(f"matched pair ({var}, {val}) is not an edge")
         if not matching.covers(graph.adj_var):
             raise KernelError("matching does not cover the variables")
+
+
+class AdoptingDynamizer:
+    """LIFO add/remove of variables by adoption into one live AllDifferent.
+
+    The twin of `GenericDynamizer`: the caller creates each variable before
+    adding it and retracts it after removing it.  The first addition posts
+    `AllDifferent([var])`, which cannot fail (a domain is never empty);
+    each later one is adopted in place.
+    """
+
+    def __init__(self, store):
+        self.store = store
+        self.propagator: Optional[AllDifferent] = None
+        self.history: list[CheckpointToken] = []  # one per addition
+
+    @property
+    def variables(self) -> list[int]:
+        """The added variables in order: the propagator's variable vertices."""
+        return list(self.propagator.graph.adj_var) if self.propagator else []
+
+    def add_variable(self, var: int) -> bool:
+        """Extend the constraint to `var`; returns the adoption+fixpoint verdict."""
+        store = self.store
+        store._check_var(var)
+        if self.propagator is not None and var in self.propagator.graph.adj_var:
+            raise DuplicateVariable(f"variable {var} already added")
+        self.history.append(store.push_checkpoint())
+        if self.propagator is None:
+            self.propagator = store.post_constraint(AllDifferent([var])).propagator
+            return store.propagate_fixpoint()
+        ok, _delta = self.propagator.add_variables(store, [var])
+        return ok and store.propagate_fixpoint()
+
+    def remove_variable(self) -> None:
+        """Retract the newest addition; the store returns to its pre-add state."""
+        if not self.history:
+            raise EmptyHistory("no variable to remove")
+        self.store.pop_checkpoint(self.history.pop())
+        if not self.history:
+            self.propagator = None

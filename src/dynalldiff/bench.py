@@ -1,11 +1,12 @@
 """Replay scenarios under both dynamization methods and compare their cost.
 
-The runner replays ADD/DEL/POP/CHECK steps against either the generic
-(deactivate + re-post) engine or the dynamic (incremental adoption) engine,
-sampling per-step operation counters: trailed cells, vertices scanned by
-augmenting searches, vertices scanned by the filter, and wall time.  The
-report prints one row per ADD and geometric-mean generic/dynamic ratios;
-wall time is informational only and never asserted.
+The runner replays ADD/DEL/POP/CHECK steps through `GenericDynamizer`
+(deactivate + re-post, mode "generic") or `AdoptingDynamizer` (adoption in
+place, mode "dynamic"), sampling per-step operation counters: trailed cells,
+vertices scanned by augmenting searches, vertices scanned by the filter, and
+wall time.  Every pop is checked to restore the store exactly.  The report
+prints one row per ADD and geometric-mean generic/dynamic ratios; wall time
+is informational only and never asserted.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .alldiff import AllDifferent
-from .errors import DomainWipeout, InitFailure, KernelError
+from .alldiff import AdoptingDynamizer, AllDifferent
+from .errors import DomainWipeout, KernelError
 from .generic import GenericDynamizer
 from .oracle import all_values_distinct, gac_filter_bruteforce
 from .scenario import Scenario, format_scenario, generate_random_scenario, parse_scenario
@@ -45,9 +46,6 @@ class StepResult:
     wall_ns: int = 0
     consistent: bool = True
     check_domains: Optional[dict[str, tuple[str, ...]]] = None
-    checksum_before: Optional[str] = None  # ADD steps
-    checksum_after: Optional[str] = None  # POP steps
-    matched_add: Optional[int] = None  # POP steps: index of the matched ADD
     diagnostic: Optional[str] = None
 
 
@@ -56,136 +54,11 @@ class RunResult:
     mode: str
     steps: list[StepResult] = field(default_factory=list)
     oracle_mismatches: list[str] = field(default_factory=list)
-    engine: Optional["_EngineBase"] = None
+    restore_mismatches: list[str] = field(default_factory=list)
 
     @property
     def checks(self) -> list[StepResult]:
         return [s for s in self.steps if s.op == "CHECK"]
-
-    def drain_pops(self) -> list[tuple[str, str]]:
-        """Pop every remaining live ADD; returns (expected, actual) checksums."""
-        pairs = []
-        while self.engine.add_stack:
-            expected = self.engine.add_stack[-1].checksum
-            self.engine.pop()
-            pairs.append((expected, self.engine.store.checksum()))
-        return pairs
-
-
-@dataclass
-class _AddEntry:
-    step: int
-    checksum: str  # store checksum taken just before the ADD ran
-    kind: str  # posted | adopted | generic | skipped
-    token: Optional[object] = None
-
-
-class _EngineBase:
-    """Common ADD bookkeeping: name mapping, LIFO stack, pre-ADD checksums."""
-
-    def __init__(self, store: Store):
-        self.store = store
-        self.live: list[tuple[str, int]] = []  # (name, var id)
-        self.add_stack: list[_AddEntry] = []
-
-    def var_id(self, name: str) -> Optional[int]:
-        for live_name, vid in reversed(self.live):
-            if live_name == name:
-                return vid
-        return None
-
-    def add_skipped(self, step_index: int, checksum: str) -> None:
-        self.add_stack.append(_AddEntry(step_index, checksum, "skipped"))
-
-    def live_graph(self):
-        raise NotImplementedError
-
-    def graph_shape(self) -> tuple[int, int, int]:
-        prop = self.live_graph()
-        if prop is None:
-            return 0, 0, 0
-        return (
-            len(prop.graph.adj_var),
-            len(prop.graph.adj_val),
-            prop.graph.edge_count,
-        )
-
-
-class DynamicEngine(_EngineBase):
-    """Incremental adoption: one propagator grows and shrinks in place."""
-
-    def __init__(self, store: Store):
-        super().__init__(store)
-        self.propagator: Optional[AllDifferent] = None
-
-    def live_graph(self):
-        return self.propagator
-
-    def add(self, step_index: int, name: str, domain: set[int], checksum: str) -> bool:
-        var = self.store.add_variable(domain)
-        token = self.store.push_checkpoint()
-        if self.propagator is None:
-            kind = "posted"
-            try:
-                handle = self.store.post_constraint(AllDifferent([var]))
-            except InitFailure as failure:
-                handle = failure.handle
-                ok = False
-            else:
-                ok = self.store.propagate_fixpoint()
-            self.propagator = handle.propagator
-        else:
-            kind = "adopted"
-            ok, _delta = self.propagator.add_variables(self.store, [var])
-            ok = ok and self.store.propagate_fixpoint()
-        self.live.append((name, var))
-        self.add_stack.append(_AddEntry(step_index, checksum, kind, token))
-        return ok
-
-    def pop(self) -> None:
-        entry = self.add_stack.pop()
-        if entry.kind == "skipped":
-            return
-        self.store.pop_checkpoint(entry.token)
-        self.store.retract_last_variable()
-        self.live.pop()
-        if entry.kind == "posted":
-            self.propagator = None
-
-
-class GenericEngine(_EngineBase):
-    """Deactivate-and-repost baseline behind the same step interface."""
-
-    def __init__(self, store: Store):
-        super().__init__(store)
-        self.wrapper = GenericDynamizer(store, AllDifferent)
-
-    def live_graph(self):
-        handle = self.wrapper.active_handle
-        return handle.propagator if handle is not None else None
-
-    def add(self, step_index: int, name: str, domain: set[int], checksum: str) -> bool:
-        var = self.store.add_variable(domain)
-        ok = self.wrapper.add_variable(var)
-        self.live.append((name, var))
-        self.add_stack.append(_AddEntry(step_index, checksum, "generic"))
-        return ok
-
-    def pop(self) -> None:
-        entry = self.add_stack.pop()
-        if entry.kind == "skipped":
-            return
-        self.wrapper.remove_variable()
-        self.store.retract_last_variable()
-        self.live.pop()
-
-
-def _make_engine(mode: str, store: Store) -> _EngineBase:
-    if mode == "dynamic":
-        return DynamicEngine(store)
-    if mode == "generic":
-        return GenericEngine(store)
-    raise ValueError(f"unknown mode {mode!r}")
 
 
 def run_scenario(
@@ -193,28 +66,53 @@ def run_scenario(
 ) -> RunResult:
     """Replay the scenario; returns per-step results and counters.
 
-    The store checksums an ADD and a POP are checked against are taken
-    outside the step's `wall_ns` window.
+    Every POP, and after the last step a pop of each ADD still live, must
+    return the store to its checksum from before the matching ADD; each
+    difference is listed in `restore_mismatches`.  The checksums are taken
+    outside every step's `wall_ns` window.
     """
     store = Store()
-    engine = _make_engine(mode, store)
+    if mode == "dynamic":
+        dynamizer = AdoptingDynamizer(store)
+    elif mode == "generic":
+        dynamizer = GenericDynamizer(store, AllDifferent)
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
     result = RunResult(mode)
+    live: list[tuple[str, int]] = []  # (name, variable id)
+    adds: list[tuple[int, str, bool]] = []  # (ADD step, checksum before, skipped)
+
+    def undo_newest_add() -> None:
+        if not adds[-1][2]:
+            dynamizer.remove_variable()
+            store.retract_last_variable()
+            live.pop()
+
+    def check_restored(where: str) -> None:
+        add_index, expected, _skipped = adds.pop()
+        if store.checksum() != expected:
+            result.restore_mismatches.append(
+                f"{where}: the store differs from before the ADD at step {add_index}"
+            )
+
     for index, step in enumerate(scenario.steps):
         record = StepResult(index=index, op=step.op)
         if step.op == "ADD":
-            record.checksum_before = store.checksum()
+            adds.append((index, store.checksum(), store.failed))
         before = store.counters.snapshot()
         t0 = time.perf_counter_ns()
         if step.op == "ADD":
-            domain = {scenario.value_id(sym) for sym in step.values}
+            record.k = 1
             if store.failed:
                 record.diagnostic = "branch failed; ADD skipped"
-                engine.add_skipped(index, record.checksum_before)
             else:
-                engine.add(index, step.var, domain, record.checksum_before)
-            record.k = 1
+                var = store.add_variable(
+                    scenario.value_id(sym) for sym in step.values
+                )
+                dynamizer.add_variable(var)
+                live.append((step.var, var))
         elif step.op == "DEL":
-            var = engine.var_id(step.var)
+            var = next((vid for name, vid in reversed(live) if name == step.var), None)
             if store.failed:
                 record.diagnostic = "branch failed; DEL skipped"
             elif var is None:
@@ -227,17 +125,16 @@ def run_scenario(
                 except DomainWipeout:
                     record.diagnostic = "domain wipeout"
         elif step.op == "POP":
-            record.matched_add = engine.add_stack[-1].step
-            engine.pop()
+            undo_newest_add()
         else:  # CHECK
             record.check_domains = {
                 name: tuple(
                     scenario.value_names[v] for v in sorted(store.domains[vid])
                 )
-                for name, vid in engine.live
+                for name, vid in live
             }
-            if verify_oracle and not store.failed and engine.live:
-                domains = [store.domains[vid] for _, vid in engine.live]
+            if verify_oracle and not store.failed and live:
+                domains = [store.domains[vid] for _, vid in live]
                 product = math.prod(len(d) for d in domains)
                 if product <= 1_000_000:
                     expected = gac_filter_bruteforce(all_values_distinct, domains)
@@ -247,15 +144,23 @@ def run_scenario(
                         )
         record.wall_ns = time.perf_counter_ns() - t0
         if step.op == "POP":
-            record.checksum_after = store.checksum()
+            check_restored(f"POP at step {index}")
         after = store.counters.snapshot()
         record.augment_visits = after[0] - before[0]
         record.filter_visits = after[1] - before[1]
         record.trailed_cells = after[2] - before[2]
-        record.p, record.d, record.m = engine.graph_shape()
+        if store.constraints:  # under both methods the newest one is live
+            graph = store.constraints[-1].propagator.graph
+            record.p, record.d, record.m = (
+                len(graph.adj_var),
+                len(graph.adj_val),
+                graph.edge_count,
+            )
         record.consistent = not store.failed
         result.steps.append(record)
-    result.engine = engine  # kept for checksum draining in tests
+    while adds:
+        undo_newest_add()
+        check_restored("final pop")
     return result
 
 
@@ -401,6 +306,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     for run in results:
         for miss in run.oracle_mismatches:
             print(f"oracle mismatch ({run.mode}): {miss}", file=sys.stderr)
+            status = 1
+        for miss in run.restore_mismatches:
+            print(f"restore mismatch ({run.mode}): {miss}", file=sys.stderr)
             status = 1
     if len(results) == 2:
         for left, right in zip(results[0].checks, results[1].checks):

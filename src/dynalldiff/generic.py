@@ -55,6 +55,7 @@ class GenericDynamizer:
 
     def add_variable(self, var: int) -> bool:
         """Extend the constraint to `var`; returns the init+fixpoint verdict."""
+        self.store._check_var(var)  # before any change to the store
         if var in self.variables:
             raise DuplicateVariable(f"variable {var} already wrapped")
         token = self.store.push_checkpoint()

@@ -260,24 +260,22 @@ def compute_maximum_matching(
 def matching_covering_x(
     graph: ValueGraph,
     matching: Matching,
-    counters: Optional[OpCounters] = None,
-    uncovered: Optional[list[int]] = None,
+    counters: Optional[OpCounters],
+    uncovered: list[int],
     log: Optional[list[tuple[int, Optional[int]]]] = None,
 ) -> Optional[Matching]:
     """Extend `matching` in place to cover every variable vertex, or return None.
 
     One shortest augmenting search runs from each variable of `uncovered`,
-    the variables the matching misses; without it, or when it does not
-    name all of them, every variable is scanned.  Covered variables may be
-    rerouted but stay covered.  The first search that fails proves that no
-    matching covers X, because its reached variables have fewer values
-    than members.  Each flip is appended to `log` as (var, previous value
-    or None).  Returns `matching` itself; on failure this call's flips are
-    undone and dropped from `log`, so `matching` is as it was.
+    which must name every variable the matching misses; a covered one it
+    names is skipped.  Covered variables may be rerouted but stay covered.
+    The first search that fails proves that no matching covers X, because
+    its reached variables have fewer values than members.  Each flip is
+    appended to `log` as (var, previous value or None).  Returns `matching`
+    itself; on failure this call's flips are undone and dropped from `log`,
+    so `matching` is as it was.
     """
     pair_of_var = matching.pair_of_var
-    if uncovered is None or matching.size + len(uncovered) != len(graph.adj_var):
-        uncovered = list(graph.adj_var)
     flips = [] if log is None else log
     start = len(flips)
     for var in uncovered:

@@ -249,8 +249,8 @@ def test_retract_after_failed_adoption():
 
 
 def test_adoption_after_failed_adoption_stays_inconsistent():
-    # x4 stays uncovered after its failed adoption, so the next adoption's
-    # matching repair must start from x4 too, and fail again
+    # x4 stays uncovered after its failed adoption; the branch has failed,
+    # so the next adoption fails too, without a search
     store, handle, _vars = triple_store()
     prop = store.constraints[handle.id].propagator
     x4 = store.add_variable({C})
@@ -260,6 +260,20 @@ def test_adoption_after_failed_adoption_stays_inconsistent():
     assert not ok
     assert delta.flips == [] and delta.removed == []
     assert x4 not in prop.matching.pair_of_var
+
+
+def test_adoption_on_a_failed_branch_runs_no_search():
+    store, handle, _vars = triple_store()
+    prop = store.constraints[handle.id].propagator
+    x4 = store.add_variable({C})
+    assert not prop.add_variables(store, [x4])[0]
+    x5 = store.add_variable({D})
+    visits = store.counters.augment_visits
+    assert not prop.add_variables(store, [x5])[0]
+    assert store.counters.augment_visits == visits
+    # x5 is adopted and watched all the same, so the store stays coherent
+    assert x5 in prop.graph.adj_var
+    store.validate()
 
 
 def test_checkpoint_pop_retracts_adoption():

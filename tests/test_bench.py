@@ -21,7 +21,7 @@ from dynalldiff.scenario import (
     generate_random_scenario,
     parse_scenario,
 )
-from dynalldiff.store import Store
+from dynalldiff.store import Store, _ValueRemoved
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -110,8 +110,33 @@ def test_trail_restored_after_draining_pops():
         scenario = generate_random_scenario(seed, p_max=5, d_max=5, del_rate=0.4)
         for mode in ("generic", "dynamic"):
             run = run_scenario(scenario, mode)
-            for expected, actual in run.drain_pops():
-                assert expected == actual, (seed, mode)
+            assert run.restore_mismatches == [], (seed, mode)
+
+
+def test_unknown_mode_rejected():
+    with pytest.raises(ValueError):
+        run_scenario(parse_scenario(TRIPLE_TEXT), "incremental")
+
+
+# x2 = a takes a from x1; the POP at step 2 must give it back
+LOST_VALUE_TEXT = "VALUES a b\nADD X1 a b\nADD X2 a\nPOP\nCHECK\n"
+
+
+def test_a_pop_that_does_not_restore_is_reported(monkeypatch):
+    monkeypatch.setattr(_ValueRemoved, "undo", lambda self, store: None)
+    run = run_scenario(parse_scenario(LOST_VALUE_TEXT), "dynamic")
+    assert run.restore_mismatches[0].startswith("POP at step 2:")
+    assert run.checks[0].check_domains == {"X1": ("b",)}
+
+
+def test_cli_exits_1_on_a_restore_mismatch(monkeypatch, tmp_path, capsys):
+    path = tmp_path / "lost_value.scn"
+    path.write_text(LOST_VALUE_TEXT)
+    assert main(["--scenario", str(path), "--mode", "dynamic"]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(_ValueRemoved, "undo", lambda self, store: None)
+    assert main(["--scenario", str(path), "--mode", "dynamic"]) == 1
+    assert "restore mismatch (dynamic): POP at step 2" in capsys.readouterr().err
 
 
 def test_counters_shape_consistent_with_live_graph():
@@ -257,7 +282,8 @@ def test_run_scenario_survives_failed_branches():
 
 
 def test_checksums_taken_once_and_outside_the_timed_window(monkeypatch):
-    # one hash per ADD (the skipped one too) and one per POP, none timed
+    # one hash per ADD (the skipped one too), one per POP and one per ADD
+    # still live after the last step, none timed
     text = (
         "VALUES a b c\nADD X1 a b\nADD X2 a b\nADD X3 a b c\nDEL X1 a\n"
         "DEL X1 b\nADD X4 c\nPOP\nPOP\nCHECK\n"
@@ -280,7 +306,8 @@ def test_checksums_taken_once_and_outside_the_timed_window(monkeypatch):
     for mode in ("generic", "dynamic"):
         events.clear()
         run = run_scenario(scenario, mode)
-        assert events.count("hash") == 4 + 2, mode
+        assert run.restore_mismatches == [], mode
+        assert events.count("hash") == 4 + 2 + 2, mode
         assert events.count("clock") == 2 * len(scenario.steps)
         timed = False
         for event in events:
@@ -288,6 +315,3 @@ def test_checksums_taken_once_and_outside_the_timed_window(monkeypatch):
                 timed = not timed
             else:
                 assert not timed, mode
-        assert [s.checksum_before is not None for s in run.steps] == [
-            s.op == "ADD" for s in run.steps
-        ]

@@ -116,7 +116,7 @@ def check_adoption(domains, var):
     for val in sorted(domains[var]):
         graph.add_edge(var, val)
     expected = supported_edges(domains_of(graph))
-    if matching_covering_x(graph, matching, uncovered=[var]) is None:
+    if matching_covering_x(graph, matching, None, [var]) is None:
         assert expected is None
         return
     remove_edges_from_g(graph, matching, seeds=[var])
@@ -139,7 +139,7 @@ def check_deletion(domains, rng):
     doomed = [(var, val) for val in rng.sample(vals, rng.randint(1, len(vals) - 1))]
     damaged = remove_edges(graph, matching, doomed)
     expected = supported_edges(domains_of(graph))
-    if matching_covering_x(graph, matching, uncovered=[var]) is None:
+    if matching_covering_x(graph, matching, None, [var]) is None:
         assert expected is None
         return None
     keeps = deletion_keeps_filtered(graph, matching, var, [v for _, v in doomed])

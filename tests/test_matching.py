@@ -40,6 +40,11 @@ def random_graph(rng, p_max=7, d_max=7, edge_cap=24):
     return [(i, dom) for i, dom in enumerate(domains)]
 
 
+def unmatched(graph, matching):
+    """The variables `matching_covering_x` must be told about."""
+    return [var for var in graph.adj_var if var not in matching.pair_of_var]
+
+
 def test_build_triple_shape():
     graph = build_value_graph(TRIPLE)
     assert len(graph.adj_var) == 3
@@ -114,7 +119,7 @@ def test_no_augmenting_path_certificate():
 def test_covering_already_covered_returns_equal():
     graph = build_value_graph(TRIPLE)
     matching = compute_maximum_matching(graph)
-    extended = matching_covering_x(graph, matching)
+    extended = matching_covering_x(graph, matching, None, unmatched(graph, matching))
     assert extended.pair_of_var == matching.pair_of_var
 
 
@@ -123,7 +128,7 @@ def test_covering_late_adoption_extension():
     matching = compute_maximum_matching(graph)
     remove_edges_from_g(graph, matching)
     add_late_adopters(graph)
-    extended = matching_covering_x(graph, matching)
+    extended = matching_covering_x(graph, matching, None, unmatched(graph, matching))
     assert extended is not None
     assert extended.size == 5
     # previously covered variables stay covered
@@ -137,7 +142,7 @@ def test_covering_pigeonhole_returns_none():
     graph = build_value_graph([(0, {A}), (1, {A})])
     matching = Matching()
     matching.match(0, A)
-    assert matching_covering_x(graph, matching) is None
+    assert matching_covering_x(graph, matching, None, [1]) is None
 
 
 def test_reversed_flip_log_restores_after_a_fault_in_match(monkeypatch):
@@ -169,7 +174,9 @@ def test_reversed_flip_log_restores_after_a_fault_in_match(monkeypatch):
             monkeypatch.setattr(Matching, "match", match)
             log = []
             try:
-                matching_covering_x(graph, matching, log=log)
+                matching_covering_x(
+                    graph, matching, None, unmatched(graph, matching), log
+                )
             except Fault:
                 pass
             else:
@@ -229,7 +236,7 @@ def test_one_variable_repair_flips_a_shortest_path_or_proves_hall():
         )
         before = dict(matching.pair_of_var)
         log = []
-        result = matching_covering_x(graph, matching, uncovered=[x], log=log)
+        result = matching_covering_x(graph, matching, None, [x], log)
         if result is None:
             failed += 1
             assert shortest is None
@@ -257,7 +264,8 @@ def test_covering_extension_size_matches_scratch():
         matching = compute_maximum_matching(partial)
         if matching.size < prefix:
             continue
-        extended = matching_covering_x(graph, matching)
+        uncovered = unmatched(graph, matching)
+        extended = matching_covering_x(graph, matching, None, uncovered)
         scratch = compute_maximum_matching(graph)
         if extended is None:
             assert scratch.size < len(entries)

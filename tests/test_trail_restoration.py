@@ -5,7 +5,7 @@ anything, and logs each change before making it, so popping the checkpoint
 restores the store even when the call raised half-way.  Faults are injected
 at the matching functions the propagator calls and at every mutation point
 below them, at each call a step makes.  The state machine replays push, pop,
-ADD and DEL on the dynamic engine and the re-posting baseline side by side
+ADD and DEL through the adopting and the re-posting dynamizer side by side
 and checks them against each other, against `Store.validate` and against
 the brute-force oracle after every step.
 """
@@ -22,7 +22,7 @@ from hypothesis.stateful import (
 )
 
 import dynalldiff.alldiff
-from dynalldiff.alldiff import AllDifferent
+from dynalldiff.alldiff import AdoptingDynamizer, AllDifferent
 from dynalldiff.generic import GenericDynamizer
 from dynalldiff.matching import Matching, ValueGraph
 from dynalldiff.oracle import all_values_distinct, gac_filter_bruteforce
@@ -239,21 +239,23 @@ DOMAINS = st.frozensets(st.integers(0, VALUES - 1), min_size=1, max_size=4)
 
 
 class TwoEngines(RuleBasedStateMachine):
-    """One alldifferent grown by adoption next to the deactivate-and-repost one.
+    """`AdoptingDynamizer` next to `GenericDynamizer`, one store each.
 
-    Both stores get the same variables in the same order, so ids match.
-    Every ADD runs in its own checkpoint (the wrapper pushes its own), and
-    POP undoes the newest ADD or push, checking that both stores return to
-    their checksums and watcher stacks from before it.
+    Both stores get the same variables in the same order, so ids match, and
+    both dynamizers must give the same verdict on every ADD.  POP undoes
+    the newest ADD or push, checking that both stores return to their
+    checksums and watcher stacks from before it.
     """
 
     def __init__(self):
         super().__init__()
         self.dynamic = Store()
         self.generic = Store()
-        self.wrapper = GenericDynamizer(self.generic, AllDifferent)
-        self.prop = None  # the dynamic engine's propagator, once posted
-        self.undo = []  # (dynamic token or None, generic token or None, states)
+        self.dynamizers = (
+            AdoptingDynamizer(self.dynamic),
+            GenericDynamizer(self.generic, AllDifferent),
+        )
+        self.undo = []  # (the two tokens of a push, or None for an ADD; states)
 
     def states(self):
         return [
@@ -272,16 +274,12 @@ class TwoEngines(RuleBasedStateMachine):
     @rule(domain=DOMAINS)
     def add(self, domain):
         before = self.states()
-        var = self.dynamic.add_variable(domain)
-        token = self.dynamic.push_checkpoint()
-        if self.prop is None:
-            self.prop = self.dynamic.post_constraint(AllDifferent([var])).propagator
-            self.dynamic.propagate_fixpoint()
-        elif self.prop.add_variables(self.dynamic, [var])[0]:
-            self.dynamic.propagate_fixpoint()
-        self.generic.add_variable(domain)
-        self.wrapper.add_variable(var)
-        self.undo.append((token, None, before))
+        verdicts = {
+            dynamizer.add_variable(dynamizer.store.add_variable(domain))
+            for dynamizer in self.dynamizers
+        }
+        assert len(verdicts) == 1
+        self.undo.append((None, before))
 
     @precondition(
         lambda self: not self.dynamic.failed
@@ -301,22 +299,20 @@ class TwoEngines(RuleBasedStateMachine):
     def push(self):
         before = self.states()
         self.undo.append(
-            (self.dynamic.push_checkpoint(), self.generic.push_checkpoint(), before)
+            ((self.dynamic.push_checkpoint(), self.generic.push_checkpoint()), before)
         )
 
     @precondition(lambda self: self.undo)
     @rule()
     def pop(self):
-        dynamic_token, generic_token, before = self.undo.pop()
-        self.dynamic.pop_checkpoint(dynamic_token)
-        if generic_token is None:  # an ADD
-            self.dynamic.retract_last_variable()
-            self.wrapper.remove_variable()
-            self.generic.retract_last_variable()
-            if not self.dynamic.domains:
-                self.prop = None
+        tokens, before = self.undo.pop()
+        if tokens is None:  # an ADD
+            for dynamizer in self.dynamizers:
+                dynamizer.remove_variable()
+                dynamizer.store.retract_last_variable()
         else:
-            self.generic.pop_checkpoint(generic_token)
+            for store, token in zip((self.dynamic, self.generic), tokens):
+                store.pop_checkpoint(token)
         assert self.states() == before
 
     @invariant()
