@@ -52,8 +52,10 @@ class Delta:
     """The trail frame of one adoption or deletion: its changes, in order.
 
     Flips are (var, previous value or None), as `matching_covering_x` logs
-    them.  Value vertices come and go with their edges, so they are not
-    logged.  The frame's own 2 cells are counted when it is pushed, and
+    them; the frame of a failed adoption or repair holds the flips its
+    search made before it failed, and `undo` replays them backwards like
+    any other.  Value vertices come and go with their edges, so they are
+    not logged.  The frame's own 2 cells are counted when it is pushed, and
     `close` counts the changes: 1 per added variable vertex, 2 per added or
     removed edge, 3 per flip.
     """
@@ -90,6 +92,7 @@ class AllDifferent:
     """Propagator requiring pairwise distinct values; store protocol + dynamics."""
 
     def __init__(self, variables: Iterable[int]):
+        # the live scope: posting shares this list as the handle's watched_vars
         self.variables = list(variables)
         if not self.variables:
             raise ValueError("alldifferent needs at least one variable")
@@ -110,10 +113,7 @@ class AllDifferent:
             return False
         self.graph = graph
         self.matching = matching
-        removed = remove_edges_from_g(graph, matching, store.counters)
-        for var, val in removed:
-            store.remove_value(var, val, cause=self.handle_id)
-        return True
+        return self._prune(store, remove_edges_from_g(graph, matching, store.counters))
 
     def on_values_removed(self, store, var: int, values: list[int]) -> bool:
         """Deletion propagation: values were just removed from var's domain.
@@ -136,9 +136,9 @@ class AllDifferent:
             matched = matching.pair_of_var.get(var)
             if matched in values:  # remove_edges unmatches var: log it as a flip
                 delta.flips.append((var, matched))
-            if remove_edges(graph, matching, doomed) and matching_covering_x(
+            if remove_edges(graph, matching, doomed) and not matching_covering_x(
                 graph, matching, store.counters, [var], delta.flips
-            ) is None:
+            ):
                 return False
             # after a repair every lost edge is unmatched too (see the check)
             if deletion_keeps_filtered(
@@ -160,7 +160,9 @@ class AllDifferent:
         On success the matching covers the extended set and the re-filter's
         deletions are pushed to the store.  On failure, or on a branch that
         has failed already (no search runs there), the store branch is
-        marked failed and the Delta holds the graph additions only.
+        marked failed and the Delta holds the graph additions and the flips
+        of any search that succeeded before the failing one; nothing reads
+        the matching again before the pop undoes them.
         """
         batch = list(new_vars)
         fresh = set()
@@ -180,9 +182,9 @@ class AllDifferent:
                 for val in store.domains[var]:
                     graph.add_edge(var, val)
                     delta.added.append((var, val))
-            if store.failed or matching_covering_x(
+            if store.failed or not matching_covering_x(
                 graph, matching, store.counters, batch, delta.flips
-            ) is None:
+            ):
                 store._fail()
                 return False, delta
             filtered = remove_edges_from_g(
@@ -214,13 +216,13 @@ class AllDifferent:
         graph = ValueGraph()
         graph.adj_var = {v: set(s) for v, s in self.graph.adj_var.items()}
         graph.adj_val = {a: set(s) for a, s in self.graph.adj_val.items()}
-        graph.edge_count = self.graph.edge_count
         matching = Matching()
         matching.pair_of_var = dict(self.matching.pair_of_var)
         matching.pair_of_val = dict(self.matching.pair_of_val)
         p, d = len(graph.adj_var), len(graph.adj_val)
+        m = sum(map(len, graph.adj_var.values()))
         # the last p: the variable order, kept as adj_var's key order
-        cells = 2 * graph.edge_count + p + d + 2 * matching.size + p
+        cells = 2 * m + p + d + 2 * matching.size + p
         return (graph, matching), cells
 
     def restore(self, snap) -> None:
@@ -234,17 +236,15 @@ class AllDifferent:
         """Raise KernelError unless graph, matching and store agree.
 
         The variable vertices are the variables this constraint watches;
-        `edge_count` counts the edges and `adj_val` is `adj_var` transposed,
-        with no value vertex left without an edge; every edge is in its
-        variable's domain; the matching's two maps are inverse, use graph
-        edges only and cover every variable vertex.
+        `adj_val` is `adj_var` transposed, with no value vertex left without
+        an edge; every edge is in its variable's domain; the matching's two
+        maps are inverse, use graph edges only and cover every variable
+        vertex.
         """
         graph, matching = self.graph, self.matching
         if set(graph.adj_var) != set(store.constraints[self.handle_id].watched_vars):
             raise KernelError("graph variables differ from the watched ones")
         edges = {(var, val) for var, vals in graph.adj_var.items() for val in vals}
-        if graph.edge_count != len(edges):
-            raise KernelError(f"edge count {graph.edge_count} but {len(edges)} edges")
         transposed = {
             (var, val) for val, vars_ in graph.adj_val.items() for var in vars_
         }

@@ -154,7 +154,7 @@ def run_scenario(
             record.p, record.d, record.m = (
                 len(graph.adj_var),
                 len(graph.adj_val),
-                graph.edge_count,
+                sum(map(len, graph.adj_var.values())),
             )
         record.consistent = not store.failed
         result.steps.append(record)

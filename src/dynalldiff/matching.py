@@ -3,10 +3,10 @@
 The graph is bipartite: variable vertices on one side, value vertices on the
 other, with an edge (x, a) whenever value a is in x's domain at the time of
 the last synchronisation.  Variable vertices are added and popped
-explicitly, and their insertion order is the adoption order.  A value
-vertex exists exactly while some edge reaches it: the first edge to it
-creates it and removing the last one deletes it, so the values are the
-union of the variables' live domains.
+explicitly, by `add_var_vertex` and `pop_var_vertex` only, and their
+insertion order is the adoption order.  A value vertex exists exactly while
+some edge reaches it: the first edge to it creates it and removing the last
+one deletes it, so the values are the union of the variables' live domains.
 
 Orientation convention, fixed project wide: matched edges point value to
 variable, unmatched edges point variable to value.
@@ -27,8 +27,11 @@ components of the variables it is given as seeds:
   of an even path) or as the start of an old path from a free value.
 
 `matching_covering_x` extends the matching in place from the uncovered
-variables the caller names, logging each flip.  Both then cost on the order
-of the touched component, not of the whole graph.
+variables the caller names, logging each flip, and answers whether it
+covered them all.  It undoes nothing itself: a failed search flips nothing,
+and flips made before it stay in the caller's log, which the caller's trail
+frame replays backwards at the pop.  Both then cost on the order of the
+touched component, not of the whole graph.
 
 Augmenting.  Every matching, at `init` as after an adoption or a lost
 matched edge, grows by one breadth-first search per uncovered variable,
@@ -92,7 +95,6 @@ class ValueGraph:
     def __init__(self):
         self.adj_var: dict[int, set[int]] = {}
         self.adj_val: dict[int, set[int]] = {}  # only values with an edge
-        self.edge_count = 0
 
     def add_var_vertex(self, var: int) -> bool:
         if var in self.adj_var:
@@ -104,13 +106,15 @@ class ValueGraph:
         return var in self.adj_var and val in self.adj_var[var]
 
     def add_edge(self, var: int, val: int) -> bool:
-        """Insert (var, val), creating endpoints as needed; False on duplicate."""
-        vals = self.adj_var.setdefault(var, set())
+        """Insert (var, val), creating val's vertex as needed; False on duplicate.
+
+        var's vertex must exist already (KeyError otherwise).
+        """
+        vals = self.adj_var[var]
         if val in vals:
             return False
         vals.add(val)
         self.adj_val.setdefault(val, set()).add(var)
-        self.edge_count += 1
         return True
 
     def remove_edge(self, var: int, val: int) -> None:
@@ -120,7 +124,6 @@ class ValueGraph:
         owners.remove(var)
         if not owners:
             del self.adj_val[val]
-        self.edge_count -= 1
 
     def pop_var_vertex(self, var: int) -> None:
         """Remove a variable vertex; its edges must already be gone."""
@@ -187,7 +190,7 @@ def _augment(
     graph: ValueGraph,
     matching: Matching,
     source: int,
-    counters: Optional[OpCounters],
+    counters: OpCounters,
     log: Optional[list[tuple[int, Optional[int]]]],
 ) -> bool:
     """Match the unmatched `source` along a shortest augmenting path; False if none.
@@ -225,13 +228,10 @@ def _augment(
                     queue.append(owner)
         return False
     finally:
-        if counters is not None:
-            counters.augment_visits += visits
+        counters.augment_visits += visits
 
 
-def compute_maximum_matching(
-    graph: ValueGraph, counters: Optional[OpCounters] = None
-) -> Matching:
+def compute_maximum_matching(graph: ValueGraph, counters: OpCounters) -> Matching:
     """Maximum matching by one shortest augmenting search per variable.
 
     One pass is enough (Kuhn, 1955).  When no augmenting path starts at x,
@@ -260,32 +260,27 @@ def compute_maximum_matching(
 def matching_covering_x(
     graph: ValueGraph,
     matching: Matching,
-    counters: Optional[OpCounters],
+    counters: OpCounters,
     uncovered: list[int],
-    log: Optional[list[tuple[int, Optional[int]]]] = None,
-) -> Optional[Matching]:
-    """Extend `matching` in place to cover every variable vertex, or return None.
+    log: list[tuple[int, Optional[int]]],
+) -> bool:
+    """Extend `matching` in place to cover every variable vertex; False if none does.
 
     One shortest augmenting search runs from each variable of `uncovered`,
     which must name every variable the matching misses; a covered one it
     names is skipped.  Covered variables may be rerouted but stay covered.
     The first search that fails proves that no matching covers X, because
     its reached variables have fewer values than members.  Each flip is
-    appended to `log` as (var, previous value or None).  Returns `matching`
-    itself; on failure this call's flips are undone and dropped from `log`,
-    so `matching` is as it was.
+    appended to `log` as (var, previous value or None).  Nothing is undone
+    here: a failed search flips nothing, but the flips of the searches
+    before it stay in `matching` and in `log`, and `Matching.assign`
+    replaying `log` backwards restores the matching as it was.
     """
     pair_of_var = matching.pair_of_var
-    flips = [] if log is None else log
-    start = len(flips)
     for var in uncovered:
-        if var not in pair_of_var and not _augment(
-            graph, matching, var, counters, flips
-        ):
-            matching.assign(reversed(flips[start:]))
-            del flips[start:]
-            return None
-    return matching
+        if var not in pair_of_var and not _augment(graph, matching, var, counters, log):
+            return False
+    return True
 
 
 def _component(
@@ -366,7 +361,7 @@ def _strong_components(
 def remove_edges_from_g(
     graph: ValueGraph,
     matching: Matching,
-    counters: Optional[OpCounters] = None,
+    counters: OpCounters,
     seeds: Optional[Iterable[int]] = None,
     log: Optional[list[tuple[int, int]]] = None,
 ) -> list[tuple[int, int]]:
@@ -439,8 +434,7 @@ def remove_edges_from_g(
         log.extend(removed)
     for var, val in removed:
         graph.remove_edge(var, val)
-    if counters is not None:
-        counters.filter_visits += visits
+    counters.filter_visits += visits
     return removed
 
 
@@ -449,7 +443,7 @@ def deletion_keeps_filtered(
     matching: Matching,
     var: int,
     lost: Iterable[int],
-    counters: Optional[OpCounters] = None,
+    counters: OpCounters,
 ) -> bool:
     """True when deleting var's edges to `lost` left the graph filtered.
 
@@ -491,8 +485,7 @@ def deletion_keeps_filtered(
                         return True
         return False
     finally:
-        if counters is not None:
-            counters.filter_visits += visits
+        counters.filter_visits += visits
 
 
 def remove_edges(

@@ -49,7 +49,12 @@ class CheckpointToken:
 
 
 class ConstraintHandle:
-    """A posted constraint: propagator, watched variables, activation flag."""
+    """A posted constraint: propagator, watched variables, activation flag.
+
+    `watched_vars` is the propagator's own `variables` list, not a copy:
+    adopting a variable appends to it and popping the adoption shrinks it,
+    so the propagator's scope is always the live one.
+    """
 
     __slots__ = ("id", "propagator", "watched_vars", "active")
 
@@ -262,7 +267,7 @@ class Store:
         initialisation reports inconsistency the branch is marked failed and
         InitFailure is raised (carrying the handle).
         """
-        watched = list(propagator.variables)
+        watched = propagator.variables  # shared: see ConstraintHandle
         for var in watched:
             self._check_var(var)
         handle = ConstraintHandle(len(self.constraints), propagator, watched)

@@ -172,6 +172,7 @@ def test_criterion_03_gac_oracle_equivalence():
 
 def test_criterion_04_filter_set_equality():
     from dynalldiff.matching import (
+        OpCounters,
         build_value_graph,
         compute_maximum_matching,
         remove_edges_from_g,
@@ -191,12 +192,12 @@ def test_criterion_04_filter_set_equality():
             if len(domains[victim]) > 1:
                 domains[victim].pop()
         graph = build_value_graph(list(enumerate(domains)))
-        matching = compute_maximum_matching(graph)
+        matching = compute_maximum_matching(graph, OpCounters())
         if matching.size < p:
             continue
         done += 1
         expected = edges_in_some_max_matching(graph.edges())
-        remove_edges_from_g(graph, matching)
+        remove_edges_from_g(graph, matching, OpCounters())
         assert set(graph.edges()) == expected
     elapsed = time.perf_counter() - start
     assert elapsed < 30, f"took {elapsed:.1f} s"

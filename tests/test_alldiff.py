@@ -276,6 +276,50 @@ def test_adoption_on_a_failed_branch_runs_no_search():
     store.validate()
 
 
+def test_failed_batch_adoption_leaves_its_flips_to_the_pop():
+    # x4 finds the free value D, then x5 in {C} finds no path: x4's flip
+    # stays in the matching and in the call's Delta, and the pop undoes it
+    store, handle, _vars = triple_store()
+    prop = store.constraints[handle.id].propagator
+    before = store.checksum()
+    x4 = store.add_variable({C, D})
+    x5 = store.add_variable({C})
+    token = store.push_checkpoint()
+    ok, delta = prop.add_variables(store, [x4, x5])
+    assert not ok and store.failed
+    assert delta.flips == [(x4, None)] and prop.matching.pair_of_var[x4] == D
+    store.pop_checkpoint(token)
+    store.retract_last_variable()
+    store.retract_last_variable()
+    assert store.checksum() == before
+    store.validate()
+
+
+def test_the_scope_is_the_live_one():
+    # the handle watches the propagator's own list, which an adoption grows
+    # and its pop shrinks; the posted list itself is copied, not shared
+    store = Store()
+    xs = [store.add_variable({A, B, C}) for _ in range(2)]
+    handle = store.post_constraint(AllDifferent(xs))
+    prop = handle.propagator
+    assert prop.variables is not xs
+    y = store.add_variable({C, D})
+    token = store.push_checkpoint()
+    assert prop.add_variables(store, [y])[0]
+    assert prop.variables == list(prop.graph.adj_var) == handle.watched_vars == xs + [y]
+    store.pop_checkpoint(token)
+    assert prop.variables == xs == handle.watched_vars
+
+
+def test_constructor_rejects_an_empty_or_repeated_scope():
+    with pytest.raises(ValueError):
+        AllDifferent([])
+    store = Store()
+    x = store.add_variable({A, B})
+    with pytest.raises(DuplicateVariable):
+        AllDifferent([x, x])
+
+
 def test_checkpoint_pop_retracts_adoption():
     store, handle, _vars = triple_store()
     prop = store.constraints[handle.id].propagator

@@ -6,6 +6,7 @@ from types import SimpleNamespace
 
 import pytest
 
+import dynalldiff.alldiff
 from dynalldiff import bench
 from dynalldiff.bench import (
     CSV_COLUMNS,
@@ -54,6 +55,27 @@ def test_parse_unknown_symbol_line_number():
 def test_parse_rejects_garbage():
     with pytest.raises(ParseError):
         parse_scenario("NOPE\n")
+
+
+@pytest.mark.parametrize(
+    "text, error, line_no",
+    [
+        ("VALUES a b\nVALUES b\n", ParseError, 2),  # a value declared twice
+        ("VALUES a\nADD X1\n", ParseError, 2),  # an ADD without a domain
+        ("VALUES a b\nADD X1 a\nADD X1 b\n", ParseError, 3),  # a live name
+        ("VALUES a\n\nADD X1 a z\n", UnknownSymbol, 3),  # an undeclared value
+        ("VALUES a b\nADD X1 a b a\n", ParseError, 2),  # a value repeated
+        ("VALUES a\nADD X1 a\nDEL X1\n", ParseError, 3),  # DEL, wrong arity
+        ("VALUES a\nADD X1 a\nDEL X2 a\n", ParseError, 3),  # never added
+        ("VALUES a\nADD X1 a\nPOP X1\n", ParseError, 3),  # POP with arguments
+        ("VALUES a\n# a comment\nCHECK now\n", ParseError, 3),  # CHECK, too
+    ],
+)
+def test_parse_errors_name_their_line(text, error, line_no):
+    with pytest.raises(error) as err:
+        parse_scenario(text)
+    assert err.value.line_no == line_no
+    assert str(err.value).startswith(f"line {line_no}: ")
 
 
 def test_run_forced_third_both_modes():
@@ -137,6 +159,48 @@ def test_cli_exits_1_on_a_restore_mismatch(monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(_ValueRemoved, "undo", lambda self, store: None)
     assert main(["--scenario", str(path), "--mode", "dynamic"]) == 1
     assert "restore mismatch (dynamic): POP at step 2" in capsys.readouterr().err
+
+
+def test_del_of_a_popped_variable_is_skipped():
+    text = "VALUES a b\nADD X1 a b\nPOP\nDEL X1 a\nCHECK\n"
+    for mode in ("generic", "dynamic"):
+        run = run_scenario(parse_scenario(text), mode)
+        assert run.steps[2].diagnostic == "variable X1 not live; DEL skipped"
+        assert run.checks[0].check_domains == {}
+
+
+def test_cli_exits_1_on_an_oracle_mismatch_and_a_mode_disagreement(
+    monkeypatch, capsys
+):
+    # a filter that does nothing when given seeds: the re-posting mode
+    # filters whole graphs at each posting, so only the adopting mode
+    # leaves X3 with a and b, which no solution gives it
+    real = dynalldiff.alldiff.remove_edges_from_g
+
+    def stand_in(graph, matching, counters, seeds=None, log=None):
+        return [] if seeds is not None else real(graph, matching, counters)
+
+    monkeypatch.setattr(dynalldiff.alldiff, "remove_edges_from_g", stand_in)
+    argv = ["--scenario", str(SCENARIOS / "forced_third.scn"), "--mode", "both",
+            "--verify-oracle"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "oracle mismatch (dynamic): step 3" in err
+    assert "oracle mismatch (generic)" not in err
+    assert "mode disagreement at step 3" in err
+
+
+def test_cli_exits_2_on_a_kernel_error(monkeypatch, capsys):
+    # a covering search that reports success without covering leaves X2
+    # unmatched, and the filter refuses an uncovered variable
+    monkeypatch.setattr(
+        dynalldiff.alldiff, "matching_covering_x",
+        lambda graph, matching, counters, uncovered, log: True,
+    )
+    argv = ["--scenario", str(SCENARIOS / "forced_third.scn"), "--mode", "both"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error (dynamic): variable 1 is not covered")
 
 
 def test_counters_shape_consistent_with_live_graph():

@@ -20,6 +20,7 @@ import random
 import pytest
 
 from dynalldiff.matching import (
+    OpCounters,
     build_value_graph,
     compute_maximum_matching,
     deletion_keeps_filtered,
@@ -101,10 +102,10 @@ def latin_line(rng, cells, free):
 def check_whole_graph(domains):
     expected = supported_edges(domains)
     graph = build_value_graph(sorted(domains.items()))
-    matching = compute_maximum_matching(graph)
+    matching = compute_maximum_matching(graph, OpCounters())
     assert matching.size == len(domains)
     before = edge_set(graph)
-    removed = remove_edges_from_g(graph, matching)
+    removed = remove_edges_from_g(graph, matching, OpCounters())
     assert edge_set(graph) == expected
     assert removed == sorted(before - expected)
     return graph, matching
@@ -113,13 +114,14 @@ def check_whole_graph(domains):
 def check_adoption(domains, var):
     """Filter all but `var`, adopt it, and filter from it as the seed."""
     graph, matching = check_whole_graph({v: d for v, d in domains.items() if v != var})
+    graph.add_var_vertex(var)
     for val in sorted(domains[var]):
         graph.add_edge(var, val)
     expected = supported_edges(domains_of(graph))
-    if matching_covering_x(graph, matching, None, [var]) is None:
+    if not matching_covering_x(graph, matching, OpCounters(), [var], []):
         assert expected is None
         return
-    remove_edges_from_g(graph, matching, seeds=[var])
+    remove_edges_from_g(graph, matching, OpCounters(), seeds=[var])
     assert edge_set(graph) == expected
 
 
@@ -139,13 +141,15 @@ def check_deletion(domains, rng):
     doomed = [(var, val) for val in rng.sample(vals, rng.randint(1, len(vals) - 1))]
     damaged = remove_edges(graph, matching, doomed)
     expected = supported_edges(domains_of(graph))
-    if matching_covering_x(graph, matching, None, [var]) is None:
+    if not matching_covering_x(graph, matching, OpCounters(), [var], []):
         assert expected is None
         return None
-    keeps = deletion_keeps_filtered(graph, matching, var, [v for _, v in doomed])
+    keeps = deletion_keeps_filtered(
+        graph, matching, var, [v for _, v in doomed], OpCounters()
+    )
     if keeps:
         assert expected == edge_set(graph)
-    remove_edges_from_g(graph, matching, seeds=[var])
+    remove_edges_from_g(graph, matching, OpCounters(), seeds=[var])
     assert edge_set(graph) == expected
     return damaged, keeps
 
@@ -198,8 +202,8 @@ def test_hall_graphs_prune_and_keep():
     for p in range(10, 36):
         domains = hall_graph(rng, p, 3)
         graph = build_value_graph(sorted(domains.items()))
-        matching = compute_maximum_matching(graph)
-        if remove_edges_from_g(graph, matching):
+        matching = compute_maximum_matching(graph, OpCounters())
+        if remove_edges_from_g(graph, matching, OpCounters()):
             seen.add("removed")
         free = set(graph.adj_val) - set(matching.pair_of_val)
         for var, vals in graph.adj_var.items():

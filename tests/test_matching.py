@@ -45,33 +45,36 @@ def unmatched(graph, matching):
     return [var for var in graph.adj_var if var not in matching.pair_of_var]
 
 
+def shape(graph):
+    """(variables, values, edges) of the graph."""
+    return len(graph.adj_var), len(graph.adj_val), len(graph.edges())
+
+
 def test_build_triple_shape():
     graph = build_value_graph(TRIPLE)
-    assert len(graph.adj_var) == 3
-    assert len(graph.adj_val) == 3
-    assert graph.edge_count == 7
+    assert shape(graph) == (3, 3, 7)
 
 
 def test_build_empty():
     graph = build_value_graph([])
-    assert graph.adj_var == {} and graph.adj_val == {} and graph.edge_count == 0
+    assert shape(graph) == (0, 0, 0)
 
 
 def test_build_singleton():
     graph = build_value_graph([(0, {A})])
-    assert (len(graph.adj_var), len(graph.adj_val), graph.edge_count) == (1, 1, 1)
+    assert shape(graph) == (1, 1, 1)
 
 
 def test_maximum_matching_triple_covers():
     graph = build_value_graph(TRIPLE)
-    matching = compute_maximum_matching(graph)
+    matching = compute_maximum_matching(graph, OpCounters())
     assert matching.size == 3
     assert matching.covers([0, 1, 2])
 
 
 def test_maximum_matching_shared_single_value():
     graph = build_value_graph([(0, {A}), (1, {A})])
-    assert compute_maximum_matching(graph).size == 1
+    assert compute_maximum_matching(graph, OpCounters()).size == 1
 
 
 def test_maximum_matching_vs_oracle_200_random():
@@ -79,7 +82,7 @@ def test_maximum_matching_vs_oracle_200_random():
     for _ in range(200):
         entries = random_graph(rng)
         graph = build_value_graph(entries)
-        size = compute_maximum_matching(graph).size
+        size = compute_maximum_matching(graph, OpCounters()).size
         assert size == max_matching_bruteforce(graph.edges())
 
 
@@ -87,7 +90,7 @@ def test_matching_validity_invariant():
     rng = random.Random(11)
     for _ in range(100):
         graph = build_value_graph(random_graph(rng))
-        matching = compute_maximum_matching(graph)
+        matching = compute_maximum_matching(graph, OpCounters())
         for var, val in matching.pair_of_var.items():
             assert matching.pair_of_val[val] == var
             assert graph.has_edge(var, val)
@@ -98,7 +101,7 @@ def test_no_augmenting_path_certificate():
     rng = random.Random(13)
     for _ in range(60):
         graph = build_value_graph(random_graph(rng))
-        matching = compute_maximum_matching(graph)
+        matching = compute_maximum_matching(graph, OpCounters())
         for start in graph.adj_var:
             if start in matching.pair_of_var:
                 continue
@@ -118,31 +121,36 @@ def test_no_augmenting_path_certificate():
 
 def test_covering_already_covered_returns_equal():
     graph = build_value_graph(TRIPLE)
-    matching = compute_maximum_matching(graph)
-    extended = matching_covering_x(graph, matching, None, unmatched(graph, matching))
-    assert extended.pair_of_var == matching.pair_of_var
+    matching = compute_maximum_matching(graph, OpCounters())
+    before = dict(matching.pair_of_var)
+    log = []
+    uncovered = unmatched(graph, matching)
+    assert matching_covering_x(graph, matching, OpCounters(), uncovered, log) is True
+    assert matching.pair_of_var == before and log == []
 
 
 def test_covering_late_adoption_extension():
     graph = build_value_graph(TRIPLE)
-    matching = compute_maximum_matching(graph)
-    remove_edges_from_g(graph, matching)
+    matching = compute_maximum_matching(graph, OpCounters())
+    remove_edges_from_g(graph, matching, OpCounters())
     add_late_adopters(graph)
-    extended = matching_covering_x(graph, matching, None, unmatched(graph, matching))
-    assert extended is not None
-    assert extended.size == 5
+    uncovered = unmatched(graph, matching)
+    assert matching_covering_x(graph, matching, OpCounters(), uncovered, []) is True
+    assert matching.size == 5
     # previously covered variables stay covered
     for var in (0, 1, 2):
-        assert var in extended.pair_of_var
+        assert var in matching.pair_of_var
     # oracle agreement on the extended graph
-    assert extended.size == max_matching_bruteforce(graph.edges())
+    assert matching.size == max_matching_bruteforce(graph.edges())
 
 
-def test_covering_pigeonhole_returns_none():
+def test_covering_pigeonhole_returns_false():
     graph = build_value_graph([(0, {A}), (1, {A})])
     matching = Matching()
     matching.match(0, A)
-    assert matching_covering_x(graph, matching, None, [1]) is None
+    log = []
+    assert matching_covering_x(graph, matching, OpCounters(), [1], log) is False
+    assert matching.pair_of_var == {0: A} and log == []  # a failed search flips nothing
 
 
 def test_reversed_flip_log_restores_after_a_fault_in_match(monkeypatch):
@@ -157,7 +165,7 @@ def test_reversed_flip_log_restores_after_a_fault_in_match(monkeypatch):
     twice = 0
     for _ in range(300):
         graph = build_value_graph(random_graph(rng))
-        start = compute_maximum_matching(graph)
+        start = compute_maximum_matching(graph, OpCounters())
         for var in rng.sample(sorted(start.pair_of_var), min(3, start.size)):
             start.unmatch(var, start.pair_of_var[var])
         for k in itertools.count(1):
@@ -175,7 +183,7 @@ def test_reversed_flip_log_restores_after_a_fault_in_match(monkeypatch):
             log = []
             try:
                 matching_covering_x(
-                    graph, matching, None, unmatched(graph, matching), log
+                    graph, matching, OpCounters(), unmatched(graph, matching), log
                 )
             except Fault:
                 pass
@@ -212,7 +220,7 @@ def test_one_variable_repair_flips_a_shortest_path_or_proves_hall():
     repaired = failed = longer = 0
     for _ in range(400):
         graph = build_value_graph(random_graph(rng))
-        matching = compute_maximum_matching(graph)
+        matching = compute_maximum_matching(graph, OpCounters())
         uncovered = [v for v in graph.adj_var if v not in matching.pair_of_var]
         if not uncovered:  # X covered: x loses its matched edge
             x = rng.choice(list(graph.adj_var))
@@ -236,8 +244,7 @@ def test_one_variable_repair_flips_a_shortest_path_or_proves_hall():
         )
         before = dict(matching.pair_of_var)
         log = []
-        result = matching_covering_x(graph, matching, None, [x], log)
-        if result is None:
+        if not matching_covering_x(graph, matching, OpCounters(), [x], log):
             failed += 1
             assert shortest is None
             assert log == [] and matching.pair_of_var == before
@@ -255,36 +262,46 @@ def test_one_variable_repair_flips_a_shortest_path_or_proves_hall():
 
 def test_covering_extension_size_matches_scratch():
     rng = random.Random(17)
+    failed_with_flips = 0
     for _ in range(100):
         entries = random_graph(rng)
         graph = build_value_graph(entries)
         # cover a random prefix first, then extend to everything
         prefix = rng.randint(0, len(entries))
         partial = build_value_graph(entries[:prefix])
-        matching = compute_maximum_matching(partial)
+        matching = compute_maximum_matching(partial, OpCounters())
         if matching.size < prefix:
             continue
-        uncovered = unmatched(graph, matching)
-        extended = matching_covering_x(graph, matching, None, uncovered)
-        scratch = compute_maximum_matching(graph)
-        if extended is None:
-            assert scratch.size < len(entries)
+        before = dict(matching.pair_of_var)
+        log = []
+        covered = matching_covering_x(
+            graph, matching, OpCounters(), unmatched(graph, matching), log
+        )
+        scratch = compute_maximum_matching(graph, OpCounters())
+        if covered:
+            assert matching.size == len(entries) == scratch.size
         else:
-            assert extended.size == len(entries) == scratch.size
+            assert scratch.size < len(entries)
+            # the flips made before the failed search stay, and the log
+            # replayed backwards undoes them
+            failed_with_flips += bool(log)
+            matching.assign(reversed(log))
+            assert matching.pair_of_var == before
+    assert failed_with_flips > 0
 
 
 def test_filter_triple_removes_two_edges():
     graph = build_value_graph(TRIPLE)
-    matching = compute_maximum_matching(graph)
-    removed = remove_edges_from_g(graph, matching)
+    matching = compute_maximum_matching(graph, OpCounters())
+    removed = remove_edges_from_g(graph, matching, OpCounters())
     assert sorted(removed) == [(2, A), (2, B)]
     assert sorted(graph.adj_var[2]) == [C]
 
 
 def test_filter_symmetric_square_removes_nothing():
     graph = build_value_graph([(0, {A, B}), (1, {A, B})])
-    matching = compute_maximum_matching(graph)
-    assert remove_edges_from_g(graph, matching) == []
+    matching = compute_maximum_matching(graph, OpCounters())
+    assert remove_edges_from_g(graph, matching, OpCounters()) == []
 
 
 def test_filter_500_random_vs_oracle():
@@ -293,12 +310,12 @@ def test_filter_500_random_vs_oracle():
     while done < 500:
         entries = random_graph(rng, p_max=6, d_max=6)
         graph = build_value_graph(entries)
-        matching = compute_maximum_matching(graph)
+        matching = compute_maximum_matching(graph, OpCounters())
         if matching.size < len(entries):
             continue  # only covered graphs are in the filter's contract
         done += 1
         expected_kept = edges_in_some_max_matching(graph.edges())
-        removed = remove_edges_from_g(graph, matching)
+        removed = remove_edges_from_g(graph, matching, OpCounters())
         assert set(graph.edges()) == expected_kept
         assert not set(removed) & expected_kept
         # matched edges are never removed
@@ -312,18 +329,20 @@ def test_filter_uncovered_precondition():
     matching = Matching()
     matching.match(0, A)
     with pytest.raises(UncoveredVariable):
-        remove_edges_from_g(graph, matching)
+        remove_edges_from_g(graph, matching, OpCounters())
 
 
 def add_late_adopters(graph):
     """Variables 3 in {C, D} and 4 in {D, E}; True for each new edge."""
+    graph.add_var_vertex(3)
+    graph.add_var_vertex(4)
     return [graph.add_edge(var, val) for var, val in [(3, C), (3, D), (4, D), (4, E)]]
 
 
 def test_add_edges_late_adoption():
     graph = build_value_graph(TRIPLE)
-    matching = compute_maximum_matching(graph)
-    remove_edges_from_g(graph, matching)
+    matching = compute_maximum_matching(graph, OpCounters())
+    remove_edges_from_g(graph, matching, OpCounters())
     assert add_late_adopters(graph) == [True] * 4
     assert len(graph.adj_var) == 5
     assert len(graph.adj_val) == 5
@@ -332,13 +351,15 @@ def test_add_edges_late_adoption():
 def test_add_edges_duplicate_ignored():
     graph = build_value_graph([(0, {A})])
     assert graph.add_edge(0, A) is False
-    assert graph.edge_count == 1
+    assert shape(graph) == (1, 1, 1)
 
 
 def test_add_edges_to_empty():
+    # only add_var_vertex makes a variable vertex: its order is the adoption order
     graph = ValueGraph()
-    assert graph.add_edge(0, A) is True
-    assert (len(graph.adj_var), len(graph.adj_val), graph.edge_count) == (1, 1, 1)
+    with pytest.raises(KeyError):
+        graph.add_edge(0, A)
+    assert shape(graph) == (0, 0, 0)
 
 
 def test_value_vertex_lives_with_its_edges():
@@ -353,7 +374,7 @@ def test_value_vertex_lives_with_its_edges():
 
 def test_remove_edges_unmatched_keeps_matching():
     graph = build_value_graph([(0, {A, B}), (1, {B})])
-    matching = compute_maximum_matching(graph)
+    matching = compute_maximum_matching(graph, OpCounters())
     before = dict(matching.pair_of_var)
     assert remove_edges(graph, matching, [(0, B)]) is False
     assert matching.pair_of_var == before
@@ -361,7 +382,7 @@ def test_remove_edges_unmatched_keeps_matching():
 
 def test_remove_edges_matched_uncovers():
     graph = build_value_graph([(0, {A, B}), (1, {B})])
-    matching = compute_maximum_matching(graph)
+    matching = compute_maximum_matching(graph, OpCounters())
     matched_val = matching.pair_of_var[0]
     assert remove_edges(graph, matching, [(0, matched_val)]) is True
     assert 0 not in matching.pair_of_var
@@ -369,7 +390,7 @@ def test_remove_edges_matched_uncovers():
 
 def test_remove_edges_mixed_count():
     graph = build_value_graph([(0, {A, B, C}), (1, {B})])
-    matching = compute_maximum_matching(graph)
+    matching = compute_maximum_matching(graph, OpCounters())
     size_before = matching.size
     doomed = [(0, val) for val in (A, B, C) if graph.has_edge(0, val)]
     matched = matching.pair_of_var[0]
@@ -416,7 +437,7 @@ def test_property_matching_size_equals_oracle(domains):
     if sum(len(dom) for dom in domains) > 24:
         return
     graph = build_value_graph(entries)
-    assert compute_maximum_matching(graph).size == max_matching_bruteforce(
+    assert compute_maximum_matching(graph, OpCounters()).size == max_matching_bruteforce(
         graph.edges()
     )
 
@@ -434,11 +455,11 @@ def test_property_filter_keeps_exactly_matchable_edges(domains):
     if sum(len(dom) for dom in domains) > 24:
         return
     graph = build_value_graph(entries)
-    matching = compute_maximum_matching(graph)
+    matching = compute_maximum_matching(graph, OpCounters())
     if matching.size < len(entries):
         return
     expected = edges_in_some_max_matching(graph.edges())
-    remove_edges_from_g(graph, matching)
+    remove_edges_from_g(graph, matching, OpCounters())
     assert set(graph.edges()) == expected
 
 

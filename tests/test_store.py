@@ -315,6 +315,22 @@ def test_events_coalesced_per_round():
     assert prop.delivered == [(var, (A, B))]
 
 
+def test_fixpoint_on_a_failed_branch_delivers_nothing():
+    store = Store()
+    x = store.add_variable({0, 1, 2})
+    y = store.add_variable({0})
+    prop = RecordingPropagator([x])
+    store.post_constraint(prop)
+    store.remove_value(x, 0)  # queues an event for prop
+    with pytest.raises(DomainWipeout):
+        store.remove_value(y, 0)
+    assert store.failed
+    assert store.propagate_fixpoint() is False
+    assert prop.delivered == []
+    assert store.propagate_fixpoint() is False  # the event was dropped
+    assert prop.delivered == []
+
+
 def test_failed_flag_cleared_by_pop():
     store = Store()
     var = store.add_variable({A})
@@ -470,6 +486,7 @@ from dynalldiff.matching import ValueGraph
 from dynalldiff.store import Store
 
 graph = ValueGraph()
+graph.add_var_vertex(0)
 graph.add_edge(0, 1)
 try:
     graph.pop_var_vertex(0)

@@ -150,8 +150,8 @@ def linked_store():
 
 
 def adopt_two(store, prop, chain):
-    # y and z in {0}: y's augmenting path is applied, z finds none, and the
-    # call reverts y's flips
+    # y and z in {0}: y's augmenting path is applied and z finds none; y's
+    # flips stay in the call's frame, and the pop undoes them
     pair = [store.add_variable({0}) for _ in range(2)]
     token = store.push_checkpoint()
     return token, lambda: (
@@ -176,13 +176,12 @@ MUTATION_POINTS = {
     "add_edge": ValueGraph,
     "remove_edge": ValueGraph,
     "match": Matching,
-    "assign": Matching,
     "remove_value": Store,
     "watch_variable": Store,
 }
 REACHED = {  # the mutation points each step calls
     adopt: ("add_edge", "remove_edge", "match", "remove_value", "watch_variable"),
-    adopt_two: ("add_edge", "match", "assign", "watch_variable"),
+    adopt_two: ("add_edge", "match", "watch_variable"),
     delete: ("remove_edge", "match", "remove_value"),
     delete_clash: ("remove_edge", "match", "remove_value"),
 }
