@@ -207,26 +207,15 @@ class AllDifferent:
 
     # -- freezing and inspection ----------------------------------------------
 
-    def snapshot(self):
-        """A copy of the graph and the matching, plus its cell count.
+    def frozen_cells(self) -> int:
+        """The cells a frozen handle keeps of the graph and the matching.
 
-        `restore` adopts the copy as it is: a frozen snapshot is restored
-        at most once, when the frame that froze it is popped.
+        2 per edge, per matched pair and per variable (its vertex and its
+        place in the order), 1 per value vertex.
         """
-        graph = ValueGraph()
-        graph.adj_var = {v: set(s) for v, s in self.graph.adj_var.items()}
-        graph.adj_val = {a: set(s) for a, s in self.graph.adj_val.items()}
-        matching = Matching()
-        matching.pair_of_var = dict(self.matching.pair_of_var)
-        matching.pair_of_val = dict(self.matching.pair_of_val)
-        p, d = len(graph.adj_var), len(graph.adj_val)
-        m = sum(map(len, graph.adj_var.values()))
-        # the last p: the variable order, kept as adj_var's key order
-        cells = 2 * m + p + d + 2 * matching.size + p
-        return (graph, matching), cells
-
-    def restore(self, snap) -> None:
-        self.graph, self.matching = snap
+        adj_var, d = self.graph.adj_var, len(self.graph.adj_val)
+        m = sum(map(len, adj_var.values()))
+        return 2 * m + 2 * len(adj_var) + d + 2 * self.matching.size
 
     def state_digest(self) -> str:
         order = tuple(self.graph.adj_var)  # the variables in adoption order

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .alldiff import AdoptingDynamizer, AllDifferent
-from .errors import DomainWipeout, KernelError
+from .errors import DomainWipeout, KernelError, ParseError
 from .generic import GenericDynamizer
 from .oracle import all_values_distinct, gac_filter_bruteforce
 from .scenario import Scenario, format_scenario, generate_random_scenario, parse_scenario
@@ -276,10 +276,21 @@ def main(argv: Optional[list[str]] = None) -> int:
         "--trace", action="store_true", help="dump per-step state to stdout"
     )
     args = parser.parse_args(argv)
+    if args.pmax < 0:
+        parser.error("--pmax must be at least 0")
+    if args.dmax < 1:
+        parser.error("--dmax must be at least 1")
+    if not (math.isfinite(args.delrate) and args.delrate >= 0):
+        parser.error("--delrate must be a finite number, at least 0")
 
     if args.scenario:
-        with open(args.scenario, encoding="utf-8") as fh:
-            scenario = parse_scenario(fh.read())
+        try:
+            with open(args.scenario, encoding="utf-8") as fh:
+                scenario = parse_scenario(fh.read())
+        except (OSError, UnicodeDecodeError, ParseError) as err:
+            reason = getattr(err, "strerror", None) or err  # OSError: no path again
+            print(f"error: {args.scenario}: {reason}", file=sys.stderr)
+            return 2
     else:
         scenario = generate_random_scenario(
             args.seed, args.pmax, args.dmax, args.delrate

@@ -1,13 +1,13 @@
 """Generic dynamization: deactivate, trail, and re-post a monotonic constraint.
 
 The wrapper turns any monotonic global constraint into one that accepts new
-variables: adding a variable deactivates the current propagator (freezing
-its structures on the trail), eagerly pushes copies of all k+1 domains, and
-posts a fresh propagator over the extended variable list.  Removing the last
-variable pops the wrapper's checkpoint, which retracts the posting, restores
-the domains, and reactivates the previous propagator with its frozen
-internals.  The deliberate duplication of structures on every add is the
-measured space cost this baseline exists to exhibit.
+variables: adding a variable deactivates the current propagator (it keeps
+its structures, unchanged, and the trail charges them), eagerly pushes
+copies of all k+1 domains, and posts a fresh propagator over the extended
+variable list.  Removing the last variable pops the wrapper's checkpoint,
+which retracts the posting, restores the domains, and reactivates the
+previous propagator as it was frozen.  The structures kept per level and the
+domain copies are the measured space cost this baseline exists to exhibit.
 """
 
 from __future__ import annotations
@@ -24,8 +24,7 @@ MONOTONICITY_CAP = 1_000_000
 @dataclass
 class _HistoryEntry:
     token: CheckpointToken
-    handle: Optional[ConstraintHandle]
-    variable: int
+    handle: ConstraintHandle
 
 
 @dataclass
@@ -47,7 +46,8 @@ class GenericDynamizer:
 
     @property
     def variables(self) -> list[int]:
-        return [entry.variable for entry in self.history]
+        """The added variables in order: the newest handle's scope."""
+        return list(self.history[-1].handle.watched_vars) if self.history else []
 
     @property
     def active_handle(self) -> Optional[ConstraintHandle]:
@@ -67,9 +67,9 @@ class GenericDynamizer:
         try:
             handle = self.store.post_constraint(self.factory(extended))
         except InitFailure as failure:
-            self.history.append(_HistoryEntry(token, failure.handle, var))
+            self.history.append(_HistoryEntry(token, failure.handle))
             return False
-        self.history.append(_HistoryEntry(token, handle, var))
+        self.history.append(_HistoryEntry(token, handle))
         return self.store.propagate_fixpoint()
 
     def remove_variable(self) -> None:

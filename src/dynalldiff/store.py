@@ -53,7 +53,8 @@ class ConstraintHandle:
 
     `watched_vars` is the propagator's own `variables` list, not a copy:
     adopting a variable appends to it and popping the adoption shrinks it,
-    so the propagator's scope is always the live one.
+    so the propagator's scope is always the live one.  An inactive handle
+    gets no events, so its propagator stays as frozen until a pop.
     """
 
     __slots__ = ("id", "propagator", "watched_vars", "active")
@@ -117,13 +118,11 @@ class _Posted:
 
 
 class _Deactivated:
-    def __init__(self, handle: ConstraintHandle, snapshot, cells: int):
+    def __init__(self, handle: ConstraintHandle, cells: int):
         self.handle = handle
-        self.snapshot = snapshot
         self.cells = cells
 
     def undo(self, store):
-        self.handle.propagator.restore(self.snapshot)
         self.handle.active = True
 
 
@@ -281,12 +280,11 @@ class Store:
         return handle
 
     def deactivate_constraint(self, handle: ConstraintHandle) -> None:
-        """Freeze the propagator's internals on the trail and stop its events."""
+        """Stop the constraint's events and charge its kept internals to the trail."""
         if not handle.active:
             raise AlreadyInactive(f"constraint {handle.id} is already inactive")
-        snapshot, cells = handle.propagator.snapshot()
         handle.active = False
-        self.trail_push(_Deactivated(handle, snapshot, cells + 2))
+        self.trail_push(_Deactivated(handle, handle.propagator.frozen_cells() + 2))
 
     def watch_variable(self, cid: int, var: int) -> None:
         """Extend a constraint's watch set (used when it adopts a variable)."""

@@ -203,6 +203,48 @@ def test_cli_exits_2_on_a_kernel_error(monkeypatch, capsys):
     assert err.startswith("error (dynamic): variable 1 is not covered")
 
 
+@pytest.mark.parametrize(
+    "content, reason",
+    [
+        (b"VALUES a b\nADD X1 a c\n", "line 2: value c not declared"),
+        (b"VALUES a\nPOP\n", "line 2: POP without a live ADD"),
+        (b"\xff\xfe", "'utf-8' codec can't decode byte 0xff"),
+        (None, "No such file or directory"),
+        ("a directory", "Is a directory"),
+    ],
+    ids=["undeclared-value", "pop-without-add", "not-utf-8", "missing", "directory"],
+)
+def test_cli_exits_2_on_a_file_it_cannot_read_or_parse(
+    tmp_path, capsys, content, reason
+):
+    path = tmp_path / "input.scn"
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    elif content is not None:
+        path.mkdir()
+    assert main(["--scenario", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: {reason}")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--pmax", "-1"),
+        ("--dmax", "0"),
+        ("--delrate", "-0.5"),
+        ("--delrate", "nan"),
+        ("--delrate", "inf"),
+    ],
+)
+def test_cli_rejects_generator_arguments_it_cannot_use(capsys, flag, value):
+    with pytest.raises(SystemExit) as exited:
+        main(["--random", flag, value])
+    assert exited.value.code == 2
+    assert f"error: {flag} must be" in capsys.readouterr().err
+
+
 def test_counters_shape_consistent_with_live_graph():
     for seed in (4, 9, 21):
         scenario = generate_random_scenario(seed, p_max=6, d_max=6, del_rate=0.3)

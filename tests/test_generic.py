@@ -94,15 +94,44 @@ def test_add_three_remove_three_restores_initial():
 def test_remove_restores_even_after_failed_add():
     store = Store()
     wrapper = GenericDynamizer(store, AllDifferent)
-    wrapper.add_variable(store.add_variable({A}))
+    x1 = store.add_variable({A})
+    wrapper.add_variable(x1)
     before = store.checksum()
     var = store.add_variable({A})
     assert wrapper.add_variable(var) is False
     assert store.failed
+    assert wrapper.variables == [x1, var]  # the failed posting's scope
     wrapper.remove_variable()
     store.retract_last_variable()
     assert not store.failed
     assert store.checksum() == before
+
+
+def test_a_frozen_level_is_kept_as_it_is_and_the_pops_reactivate_it():
+    # the second ADD freezes the first level's propagator; nothing copies
+    # it, and the trail's cells stay those of a copy's worth of structure
+    store = Store()
+    wrapper = GenericDynamizer(store, AllDifferent)
+    cells, frozen = [], None
+    for dom in ({A, B}, {A, B}, {A, B, C}, {C, D}):
+        var = store.add_variable(dom)
+        before = store.counters.trailed_cells
+        assert wrapper.add_variable(var) is True
+        cells.append(store.counters.trailed_cells - before)
+        if frozen is None:
+            prop = wrapper.active_handle.propagator
+            frozen = (prop, prop.graph, prop.matching, prop.state_digest())
+    assert cells == [6, 21, 37, 43]
+    assert wrapper.variables == [0, 1, 2, 3]
+    for _ in range(3):
+        wrapper.remove_variable()
+        store.retract_last_variable()
+    prop, graph, matching, digest = frozen
+    assert wrapper.variables == [0]
+    assert wrapper.active_handle.active
+    assert wrapper.active_handle.propagator is prop
+    assert prop.graph is graph and prop.matching is matching
+    assert prop.state_digest() == digest
 
 
 def test_repost_freshness_same_state_as_scratch():
