@@ -15,15 +15,18 @@ its cost follows the size of the touched component, not of the whole graph:
   unless `deletion_keeps_filtered` proves that every lost arc has a
   detour, so nothing can have lost support;
 * an adoption adds the new variables' edges (touching only the new
-  variables), extends the matching in place from them, and re-filters
-  their component.
+  variables) and extends the matching in place from them.  When every new
+  variable then reaches a free value, no Hall set holds one, and only new
+  edges can lose support: `filter_adopted_edges` removes those, found by
+  the new variables' own searches, and the filter is not called.
+  Otherwise their component is re-filtered.
 
 Each deletion or adoption puts one `Delta` on the store's trail before it
 changes anything, and logs every change into it as the change happens, so
 `pop_checkpoint` restores the exact earlier state, even after an exception
 in the middle of the call.  An adoption trails only its own vertices and
-edges, the flips of its augmenting path and the edges its re-filter removed,
-never a copy of the graph.
+edges, the flips of its augmenting path and the edges it removed, never a
+copy of the graph.
 
 `AdoptingDynamizer` grows one such propagator by adoption, a checkpoint
 per added variable, behind the interface of `GenericDynamizer`.
@@ -40,6 +43,7 @@ from .matching import (
     build_value_graph,
     compute_maximum_matching,
     deletion_keeps_filtered,
+    filter_adopted_edges,
     graph_checksum,
     matching_covering_x,
     remove_edges,
@@ -157,12 +161,14 @@ class AllDifferent:
     def add_variables(self, store, new_vars: Iterable[int]):
         """Adopt new variables; returns (consistent, the call's Delta).
 
-        On success the matching covers the extended set and the re-filter's
-        deletions are pushed to the store.  On failure, or on a branch that
-        has failed already (no search runs there), the store branch is
-        marked failed and the Delta holds the graph additions and the flips
-        of any search that succeeded before the failing one; nothing reads
-        the matching again before the pop undoes them.
+        On success the matching covers the extended set, and the edges that
+        `filter_adopted_edges` removes, or the seeded filter when that
+        falls back, are pushed to the store as value removals.  On failure,
+        or on a branch that has failed already (no search runs there), the
+        store branch is marked failed and the Delta holds the graph
+        additions and the flips of any search that succeeded before the
+        failing one; nothing reads the matching again before the pop undoes
+        them.
         """
         batch = list(new_vars)
         fresh = set()
@@ -187,9 +193,13 @@ class AllDifferent:
             ):
                 store._fail()
                 return False, delta
-            filtered = remove_edges_from_g(
-                graph, matching, store.counters, seeds=batch, log=delta.removed
+            filtered = filter_adopted_edges(
+                graph, matching, store.counters, batch, delta.removed
             )
+            if filtered is None:  # a new variable is in a Hall set
+                filtered = remove_edges_from_g(
+                    graph, matching, store.counters, seeds=batch, log=delta.removed
+                )
         finally:
             delta.close(store.counters)
         return self._prune(store, filtered), delta

@@ -311,7 +311,11 @@ def main(argv: Optional[list[str]] = None) -> int:
             _trace(run, sys.stdout)
     print(report(results))
     if args.csv:
-        write_csv(args.csv, results)
+        try:
+            write_csv(args.csv, results)
+        except OSError as err:
+            print(f"error: {args.csv}: {err.strerror or err}", file=sys.stderr)
+            return 2
         print(f"wrote {args.csv}")
     status = 0
     for run in results:

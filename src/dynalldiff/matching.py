@@ -56,6 +56,24 @@ matching it is read with, and under it every lost arc is unmatched, so the
 same argument holds.  The test stores nothing between calls; it costs the
 part of x's component it searches.
 
+An adoption often needs no filter either.  An edge (y, a) lies on no
+matching that covers X exactly when some Hall set H (|D(H)| = |H|) has a
+among its values and does not hold y; under a matching that covers X, H is
+closed under the orientation and reaches no free value.  Adopting variables
+adds edges at the new variables only.  So every Hall set of the filtered
+graph before the adoption stays one, with its edges from outside removed
+already, and every new Hall set holds a new variable.  When each new
+variable reaches a free value under the extended matching, none lies in a
+Hall set, there is no new one, and the only edges to remove are the new
+variables' unmatched edges (x, b) whose value b reaches no free value: the
+variables b reaches form a Hall set without x.  `filter_adopted_edges`
+finds them by forward searches from the new variables' values, and its
+cost is the part of the component those searches walk.  When some new
+variable reaches no free value it changes nothing, and the caller runs
+`remove_edges_from_g` seeded at the new variables.  This is the Hall-set
+reading of Regin's filter (AAAI 1994) and of the Dulmage-Mendelsohn
+decomposition (Canad. J. Math. 10, 1958).
+
 Reachability first.  Inside the filtered part, the search from the free
 values runs before any strongly connected component is computed: every edge
 to a value that reaches a free value is kept without further work.  Tarjan
@@ -435,6 +453,91 @@ def remove_edges_from_g(
     for var, val in removed:
         graph.remove_edge(var, val)
     counters.filter_visits += visits
+    return removed
+
+
+def filter_adopted_edges(
+    graph: ValueGraph,
+    matching: Matching,
+    counters: OpCounters,
+    new_vars: list[int],
+    log: list[tuple[int, int]],
+) -> Optional[list[tuple[int, int]]]:
+    """Delete and return the adopted variables' edges in no matching covering X.
+
+    Call it after `matching_covering_x` covered `new_vars`, whose edges were
+    added to a filtered graph.  For each new variable x, a forward search
+    runs from each unmatched value b of x (b -> owner(b) -> that owner's
+    unmatched values -> ...).  It stops at a free value, or at a variable
+    this call has shown to reach one, and then every variable on the path
+    it found reaches one too.  A search that runs dry has walked a closed
+    set with no free value: (x, b) is removed, and later searches prune at
+    that set.  The search enters x through x's matched value like any other
+    variable, since x is not known to reach a free value yet.
+
+    When every new variable reaches a free value, the removed edges are
+    exactly those `remove_edges_from_g` seeded at `new_vars` would remove
+    (see the module docstring).  Otherwise some new variable lies in a Hall
+    set, which may cut edges of other variables too: the call returns None,
+    having changed nothing, and the caller runs the filter.
+
+    Removed edges come in ascending (var, value) order; they are appended
+    to `log` before the first of them is deleted.  Each variable searched
+    counts one filter visit.
+    """
+    adj_var = graph.adj_var
+    pair_of_var = matching.pair_of_var
+    pair_of_val = matching.pair_of_val
+    alive: set[int] = set()  # variables shown to reach a free value
+    dead: set[int] = set()  # variables shown to reach none
+    removed: list[tuple[int, int]] = []
+    visits = 0
+    try:
+        for x in new_vars:
+            matched = pair_of_var.get(x)
+            if matched is None:
+                raise UncoveredVariable(f"variable {x} is not covered")
+            visits += 1
+            for b in adj_var[x]:
+                if b == matched:
+                    continue
+                start = pair_of_val.get(b)
+                if start is None or start in alive:
+                    alive.add(x)
+                    continue
+                if start in dead:
+                    removed.append((x, b))
+                    continue
+                reached_from: dict[int, Optional[int]] = {start: None}
+                frontier = [start]
+                found = False
+                while frontier and not found:
+                    var = frontier.pop()
+                    visits += 1
+                    for val in adj_var[var]:
+                        owner = pair_of_val.get(val)
+                        if owner is None or owner in alive:
+                            found = True
+                            break
+                        if owner not in reached_from and owner not in dead:
+                            reached_from[owner] = var
+                            frontier.append(owner)
+                if found:
+                    while var is not None:  # the path back to b's owner
+                        alive.add(var)
+                        var = reached_from[var]
+                    alive.add(x)
+                else:
+                    dead.update(reached_from)
+                    removed.append((x, b))
+            if x not in alive:  # x is in a Hall set
+                return None
+    finally:
+        counters.filter_visits += visits
+    removed.sort()
+    log.extend(removed)
+    for var, val in removed:
+        graph.remove_edge(var, val)
     return removed
 
 

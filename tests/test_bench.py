@@ -229,6 +229,18 @@ def test_cli_exits_2_on_a_file_it_cannot_read_or_parse(
 
 
 @pytest.mark.parametrize(
+    "target, reason",
+    [("missing/steps.csv", "No such file or directory"), (".", "Is a directory")],
+    ids=["missing-directory", "directory"],
+)
+def test_cli_exits_2_on_a_csv_it_cannot_write(tmp_path, capsys, target, reason):
+    path = tmp_path / target
+    argv = ["--scenario", str(SCENARIOS / "forced_third.scn"), "--csv", str(path)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {path}: {reason}\n"
+
+
+@pytest.mark.parametrize(
     "flag, value",
     [
         ("--pmax", "-1"),

@@ -12,10 +12,14 @@ Latin-style rows and columns over 30 values.  Both the whole-graph filter
 and the seeded one (after an adoption or a deletion on a filtered graph)
 must keep exactly the reference's edges, and when a deletion of unmatched
 edges, or of a matched edge once the matching is repaired, passes
-`deletion_keeps_filtered`, the reference must keep every edge left.
+`deletion_keeps_filtered`, the reference must keep every edge left.  On
+every adoption that `filter_adopted_edges` decides, it must remove exactly
+the seeded filter's edges and keep exactly the reference's.
 """
 
+import copy
 import random
+from collections import Counter
 
 import pytest
 
@@ -24,6 +28,7 @@ from dynalldiff.matching import (
     build_value_graph,
     compute_maximum_matching,
     deletion_keeps_filtered,
+    filter_adopted_edges,
     matching_covering_x,
     remove_edges,
     remove_edges_from_g,
@@ -111,18 +116,37 @@ def check_whole_graph(domains):
     return graph, matching
 
 
-def check_adoption(domains, var):
-    """Filter all but `var`, adopt it, and filter from it as the seed."""
-    graph, matching = check_whole_graph({v: d for v, d in domains.items() if v != var})
-    graph.add_var_vertex(var)
-    for val in sorted(domains[var]):
-        graph.add_edge(var, val)
+def check_adoption(domains, batch):
+    """Filter all but `batch`, adopt it, and filter it both ways.
+
+    The seeded filter and `filter_adopted_edges` start from the same graph
+    and matching.  Returns the rule's outcome ("removed", "kept" or
+    "fallback"), or None when no matching covers the batch.
+    """
+    graph, matching = check_whole_graph(
+        {v: d for v, d in domains.items() if v not in batch}
+    )
+    for var in batch:
+        graph.add_var_vertex(var)
+        for val in sorted(domains[var]):
+            graph.add_edge(var, val)
     expected = supported_edges(domains_of(graph))
-    if not matching_covering_x(graph, matching, OpCounters(), [var], []):
+    if not matching_covering_x(graph, matching, OpCounters(), batch, []):
         assert expected is None
-        return
-    remove_edges_from_g(graph, matching, OpCounters(), seeds=[var])
+        return None
+    seeded_graph, seeded_matching = copy.deepcopy((graph, matching))
+    filtered = remove_edges_from_g(
+        seeded_graph, seeded_matching, OpCounters(), seeds=batch
+    )
+    assert edge_set(seeded_graph) == expected
+    before, log = edge_set(graph), []
+    removed = filter_adopted_edges(graph, matching, OpCounters(), batch, log)
+    if removed is None:
+        assert log == [] and edge_set(graph) == before
+        return "fallback"
+    assert removed == log == filtered
     assert edge_set(graph) == expected
+    return "removed" if removed else "kept"
 
 
 def check_deletion(domains, rng):
@@ -156,6 +180,8 @@ def check_deletion(domains, rng):
 
 # (matched edge lost, check verdict): both verdicts, with and without a repair
 BOTH_PATHS_BOTH_VERDICTS = {(False, True), (False, False), (True, True), (True, False)}
+# every outcome of `filter_adopted_edges`
+ALL_OUTCOMES = {"removed", "kept", "fallback"}
 
 
 def test_reference_on_a_forced_value():
@@ -168,14 +194,18 @@ def test_reference_on_a_forced_value():
 @pytest.mark.parametrize("free", [0, 1, 4])
 def test_hall_graphs_match_reference(free):
     rng = random.Random(100 + free)
-    verdicts = set()
+    verdicts, outcomes = set(), Counter()
     for p in range(2, 36):
         for _ in range(3):
             domains = hall_graph(rng, p, free)
             check_whole_graph(domains)
-            check_adoption(domains, rng.randrange(p))
+            batch = rng.sample(range(p), rng.randint(1, min(3, p)))
+            outcomes[check_adoption(domains, batch)] += 1
             verdicts.add(check_deletion(domains, rng))
     assert BOTH_PATHS_BOTH_VERDICTS <= verdicts
+    # hall_graph's domains are covered; with no free value no new variable
+    # reaches one, and every adoption falls back to the filter
+    assert set(outcomes) == (ALL_OUTCOMES if free else {"fallback"}), outcomes
 
 
 @pytest.mark.parametrize("free", [0, 6])
@@ -186,7 +216,7 @@ def test_latin_lines_match_reference(free):
     for _ in range(20):
         domains = latin_line(rng, 30, free)
         check_whole_graph(domains)
-        check_adoption(domains, rng.choice(sorted(domains)))
+        check_adoption(domains, [rng.choice(sorted(domains))])
         verdicts.add(check_deletion(domains, rng))
         # with no free value a detour needs a cycle left through the lost
         # value's owner, which one random deletion per line rarely leaves
@@ -213,3 +243,34 @@ def test_hall_graphs_prune_and_keep():
                 elif matching.pair_of_var[var] != val:
                     seen.add("kept, to a matched value")
     assert seen == {"removed", "kept by a free value", "kept, to a matched value"}
+
+
+@pytest.mark.parametrize("size", [1, 3])
+def test_adoption_rule_on_small_graphs(size):
+    # single adoptions and batches of up to three, into 0 to 6 variables
+    # over 3 to 8 values, domains of 1 to 4
+    rng = random.Random(500 + size)
+    outcomes = Counter()
+    for _ in range(1500):
+        values = rng.randint(3, 8)
+        k = rng.randint(1, size)
+        domains = {
+            var: set(rng.sample(range(values), rng.randint(1, min(4, values))))
+            for var in range(rng.randint(0, 6) + k)
+        }
+        batch = sorted(domains)[-k:]
+        prefix = {var: dom for var, dom in domains.items() if var not in batch}
+        if supported_edges(prefix) is not None:
+            outcomes[check_adoption(domains, batch)] += 1
+    assert ALL_OUTCOMES <= set(outcomes), outcomes
+
+
+def test_adoption_rule_walks_back_through_the_new_variable():
+    # x0 in {0, 3} holds 0; adopting x1 in {0, 3, 4} and x2 in {2, 3} gives
+    # x1 = 3 and x2 = 2.  The search from x1's value 0 meets x0, then 3, the
+    # value x1 holds, and reaches the free 4 only through x1 itself.  It must
+    # walk back into x1, or it prunes (x1, 0), which x0 = 3, x1 = 0, x2 = 2
+    # uses.
+    domains = {0: {0, 3}, 1: {0, 3, 4}, 2: {2, 3}}
+    assert (1, 0) in supported_edges(domains)
+    assert check_adoption(domains, [1, 2]) == "kept"

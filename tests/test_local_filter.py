@@ -5,7 +5,10 @@ graph that the change touched.  That is exact only if the rest of the graph
 was already filtered, so after every consistent step a whole-graph filter
 over a copy of each live propagator must find nothing left to remove.  A
 deletion of unmatched edges that `deletion_keeps_filtered` proves harmless
-skips the filter, and must leave the store as the filter would.
+skips the filter, and must leave the store as the filter would.  So must an
+adoption whose new variables all reach a free value, which
+`filter_adopted_edges` prunes without the filter, at a cost that does not
+grow with p.
 """
 
 import copy
@@ -295,6 +298,21 @@ def test_skipping_the_filter_is_invisible(monkeypatch):
         assert {True, False} == {consistent for consistent, _ in skipping}
 
 
+def _never_decides(*args, **kwargs):
+    return None
+
+
+def test_adopting_without_the_filter_is_invisible(monkeypatch):
+    # forcing the rule to fall back filters every adoption, as before the
+    # rule existed: verdicts and checksums must agree per step
+    for seed in range(4):
+        deciding = latin_rectangle_run(seed)
+        with monkeypatch.context() as patch:
+            patch.setattr(dynalldiff.alldiff, "filter_adopted_edges", _never_decides)
+            filtering = latin_rectangle_run(seed)
+        assert deciding == filtering, seed
+
+
 def test_skipping_the_filter_saves_filter_calls(monkeypatch):
     real = dynalldiff.alldiff.remove_edges_from_g
     calls = []
@@ -337,3 +355,40 @@ def test_a_repaired_deletion_can_skip_the_filter(monkeypatch):
     assert_filtered(store)
     store.pop_checkpoint(token)
     store.validate()
+
+
+def _no_filter(*args, **kwargs):
+    raise AssertionError("the adoption called the filter")
+
+
+def test_adoption_cost_does_not_grow_with_p(monkeypatch):
+    # one connected alldifferent, x_i in {i, i+1} and four values from
+    # 1000..2999.  Adopting y in {0, 1, 2, 3999} matches y = 2, which x2
+    # left free, and searches y and the owners of 0 and 1, x0 and x1, which
+    # see free values at once: 3 filter visits at p = 10 as at p = 400,
+    # where the seeded filter would walk all 400 variables
+    visits = {}
+    for p in (10, 400):
+        rng = random.Random(3)
+        store = Store()
+        xs = [
+            store.add_variable({i, i + 1, *rng.sample(range(1000, 3000), 4)})
+            for i in range(p)
+        ]
+        prop = store.post_constraint(AllDifferent(xs[:1])).propagator
+        for x in xs[1:]:
+            assert prop.add_variables(store, [x])[0] and store.propagate_fixpoint()
+        y = store.add_variable({0, 1, 2, 3999})
+        with monkeypatch.context() as patch:
+            patch.setattr(dynalldiff.alldiff, "remove_edges_from_g", _no_filter)
+            before = store.counters.filter_visits
+            assert prop.add_variables(store, [y])[0]
+            visits[p] = store.counters.filter_visits - before
+            assert store.propagate_fixpoint()
+        store.validate()
+        assert_filtered(store)
+    graph, matching = copy.deepcopy((prop.graph, prop.matching))
+    counters = OpCounters()
+    remove_edges_from_g(graph, matching, counters, seeds=[y])
+    assert counters.filter_visits > 400
+    assert visits[10] == visits[400] == 3

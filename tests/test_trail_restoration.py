@@ -97,10 +97,12 @@ def delete_unmatched(store, prop, chain):
     )
 
 
-FAULTS = [
-    ("matching_covering_x", _after_the_real_call),
-    ("matching_covering_x", _instead_of_the_call),
-    ("remove_edges_from_g", _instead_of_the_call),
+FAULTS = [  # (function, stand-in, the steps that call it)
+    ("matching_covering_x", _after_the_real_call, (adopt, delete)),
+    ("matching_covering_x", _instead_of_the_call, (adopt, delete)),
+    ("remove_edges_from_g", _instead_of_the_call, (adopt, delete)),
+    ("filter_adopted_edges", _instead_of_the_call, (adopt,)),
+    ("deletion_keeps_filtered", _instead_of_the_call, (delete, delete_unmatched)),
 ]
 AFTER = {  # the domains a step leaves on a fresh store
     adopt: [{i + 1} for i in range(LINKS)],
@@ -111,9 +113,7 @@ AFTER = {  # the domains a step leaves on a fresh store
 
 @pytest.mark.parametrize(
     "name, fault, step",
-    [(name, fault, step) for name, fault in FAULTS for step in (adopt, delete)]
-    + [("deletion_keeps_filtered", _instead_of_the_call, step)
-       for step in (delete, delete_unmatched)],
+    [(name, fault, step) for name, fault, steps in FAULTS for step in steps],
     ids=lambda x: getattr(x, "__name__", x),
 )
 def test_pop_restores_the_store_after_a_fault(monkeypatch, name, fault, step):
@@ -140,13 +140,34 @@ def test_pop_restores_the_store_after_a_fault(monkeypatch, name, fault, step):
     assert [store.domain(x) for x in chain] == AFTER[step]
 
 
+HALL = LINKS + 2
+
+
 def linked_store():
-    """The chain, plus w in {LINKS-1, LINKS, LINKS+1} distinct from the last link."""
+    """The chain, plus w in {LINKS-1, LINKS, LINKS+1} distinct from the last link.
+
+    Last, a Hall pair: two variables in {HALL, HALL+1} under their own
+    alldifferent.
+    """
     store, prop, chain = chain_store()
     w = store.add_variable({LINKS - 1, LINKS, LINKS + 1})
     store.post_constraint(AllDifferent([chain[-1], w]))
+    pair = [store.add_variable({HALL, HALL + 1}) for _ in range(2)]
+    store.post_constraint(AllDifferent(pair))
     assert store.propagate_fixpoint()
     return store, prop, chain
+
+
+def adopt_pruned(store, prop, chain):
+    # y in HALL..HALL+3 joins the Hall pair's alldifferent and reaches a
+    # free value, so `filter_adopted_edges` removes y's two edges into the
+    # pair itself, logging both before it deletes the first
+    pair = store.constraints[-1].propagator
+    y = store.add_variable(range(HALL, HALL + 4))
+    token = store.push_checkpoint()
+    return token, lambda: (
+        pair.add_variables(store, [y])[0] and store.propagate_fixpoint()
+    )
 
 
 def adopt_two(store, prop, chain):
@@ -181,10 +202,43 @@ MUTATION_POINTS = {
 }
 REACHED = {  # the mutation points each step calls
     adopt: ("add_edge", "remove_edge", "match", "remove_value", "watch_variable"),
+    adopt_pruned: (
+        "add_edge", "remove_edge", "match", "remove_value", "watch_variable"
+    ),
     adopt_two: ("add_edge", "match", "watch_variable"),
     delete: ("remove_edge", "match", "remove_value"),
     delete_clash: ("remove_edge", "match", "remove_value"),
 }
+
+
+def _recorded(real, calls):
+    def stand_in(*args, **kwargs):
+        calls.append((real.__name__, real(*args, **kwargs)))
+        return calls[-1][1]
+
+    return stand_in
+
+
+def test_the_adoption_steps_take_the_rule_and_its_fallback(monkeypatch):
+    calls = []
+    for name in ("filter_adopted_edges", "remove_edges_from_g"):
+        real = getattr(dynalldiff.alldiff, name)
+        monkeypatch.setattr(dynalldiff.alldiff, name, _recorded(real, calls))
+    # adopt's y in {0} reaches no free value: the rule falls back to the
+    # filter, which pins the chain (the fixpoint's deletions come after)
+    store, prop, chain = linked_store()
+    calls.clear()
+    assert adopt(store, prop, chain)[1]() is True
+    assert calls[:2] == [
+        ("filter_adopted_edges", None),
+        ("remove_edges_from_g", [(x, i) for i, x in enumerate(chain)]),
+    ]
+    # adopt_pruned's two edges are removed by the rule, and nothing is filtered
+    store, prop, chain = linked_store()
+    calls.clear()
+    assert adopt_pruned(store, prop, chain)[1]() is True
+    y = len(store.domains) - 1
+    assert calls == [("filter_adopted_edges", [(y, HALL), (y, HALL + 1)])]
 
 
 def _fault_at(real, k, calls):
