@@ -24,9 +24,9 @@ its cost follows the size of the touched component, not of the whole graph:
 Each deletion or adoption puts one `Delta` on the store's trail before it
 changes anything, and logs every change into it as the change happens, so
 `pop_checkpoint` restores the exact earlier state, even after an exception
-in the middle of the call.  An adoption trails only its own vertices and
-edges, the flips of its augmenting path and the edges it removed, never a
-copy of the graph.
+in the middle of the call.  An adoption trails only its own vertices, a
+count of their edges, the flips of its augmenting path and the edges it
+removed, never a copy of the graph.
 
 `AdoptingDynamizer` grows one such propagator by adoption, a checkpoint
 per added variable, behind the interface of `GenericDynamizer`.
@@ -53,15 +53,15 @@ from .store import CheckpointToken
 
 
 class Delta:
-    """The trail frame of one adoption or deletion: its changes, in order.
+    """The trail frame of one adoption or deletion: what the graph cannot give back.
 
-    Flips are (var, previous value or None), as `matching_covering_x` logs
-    them; the frame of a failed adoption or repair holds the flips its
-    search made before it failed, and `undo` replays them backwards like
-    any other.  Value vertices come and go with their edges, so they are
-    not logged.  The frame's own 2 cells are counted when it is pushed, and
-    `close` counts the changes: 1 per added variable vertex, 2 per added or
-    removed edge, 3 per flip.
+    Each change is logged by the function that makes it: the variable
+    vertices an adoption adds, the removed edges (before they go) and the
+    flips (var, previous value or None), which `undo` replays backwards, a
+    failed search's too.  Added edges are only counted: with the removed
+    ones back, each new vertex holds just the edges its adoption added (or
+    got to before a fault), and `undo` strips them.  `close` counts cells:
+    1 per added variable vertex, 2 per added or removed edge, 3 per flip.
     """
 
     __slots__ = ("propagator", "var_vertices", "added", "flips", "removed")
@@ -70,14 +70,14 @@ class Delta:
     def __init__(self, propagator: AllDifferent):
         self.propagator = propagator
         self.var_vertices: list[int] = []
-        self.added: list[tuple[int, int]] = []
+        self.added = 0
         self.flips: list[tuple[int, Optional[int]]] = []
         self.removed: list[tuple[int, int]] = []
 
     def close(self, counters) -> None:
         counters.trailed_cells += (
             len(self.var_vertices)
-            + 2 * (len(self.added) + len(self.removed))
+            + 2 * (self.added + len(self.removed))
             + 3 * len(self.flips)
         )
 
@@ -86,9 +86,9 @@ class Delta:
         for var, val in self.removed:
             graph.add_edge(var, val)  # a no-op for an edge a fault left in place
         self.propagator.matching.assign(reversed(self.flips))
-        for var, val in self.added:
-            graph.remove_edge(var, val)
         for var in reversed(self.var_vertices):
+            for val in list(graph.adj_var[var]):
+                graph.remove_edge(var, val)
             graph.pop_var_vertex(var)
 
 
@@ -130,24 +130,19 @@ class AllDifferent:
         otherwise var's component is re-filtered.
         """
         graph, matching = self.graph, self.matching
-        doomed = [(var, v) for v in values if graph.has_edge(var, v)]
-        if not doomed:
+        lost = [val for val in values if graph.has_edge(var, val)]
+        if not lost:
             return True
         delta = Delta(self)
         store.trail_push(delta)
         try:
-            delta.removed.extend(doomed)
-            matched = matching.pair_of_var.get(var)
-            if matched in values:  # remove_edges unmatches var: log it as a flip
-                delta.flips.append((var, matched))
-            if remove_edges(graph, matching, doomed) and not matching_covering_x(
-                graph, matching, store.counters, [var], delta.flips
+            flips = delta.flips
+            if remove_edges(graph, matching, var, lost, delta.removed, flips) and not (
+                matching_covering_x(graph, matching, store.counters, [var], flips)
             ):
                 return False
             # after a repair every lost edge is unmatched too (see the check)
-            if deletion_keeps_filtered(
-                graph, matching, var, [val for _, val in doomed], store.counters
-            ):
+            if deletion_keeps_filtered(graph, matching, var, lost, store.counters):
                 return True
             filtered = remove_edges_from_g(
                 graph, matching, store.counters, seeds=[var], log=delta.removed
@@ -187,7 +182,7 @@ class AllDifferent:
                 store.watch_variable(self.handle_id, var)
                 for val in store.domains[var]:
                     graph.add_edge(var, val)
-                    delta.added.append((var, val))
+                delta.added += len(graph.adj_var[var])
             if store.failed or not matching_covering_x(
                 graph, matching, store.counters, batch, delta.flips
             ):

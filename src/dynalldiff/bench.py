@@ -68,8 +68,9 @@ def run_scenario(
 
     Every POP, and after the last step a pop of each ADD still live, must
     return the store to its checksum from before the matching ADD; each
-    difference is listed in `restore_mismatches`.  The checksums are taken
-    outside every step's `wall_ns` window.
+    difference is listed in `restore_mismatches`.  A step's `wall_ns` times
+    only its own work: the symbols are resolved before it, and the
+    checksums, a CHECK's domains and the oracle are taken after it.
     """
     store = Store()
     if mode == "dynamic":
@@ -99,6 +100,8 @@ def run_scenario(
         record = StepResult(index=index, op=step.op)
         if step.op == "ADD":
             adds.append((index, store.checksum(), store.failed))
+        values = [scenario.value_id(sym) for sym in step.values]
+        var = next((vid for name, vid in reversed(live) if name == step.var), None)
         before = store.counters.snapshot()
         t0 = time.perf_counter_ns()
         if step.op == "ADD":
@@ -106,27 +109,26 @@ def run_scenario(
             if store.failed:
                 record.diagnostic = "branch failed; ADD skipped"
             else:
-                var = store.add_variable(
-                    scenario.value_id(sym) for sym in step.values
-                )
+                var = store.add_variable(values)
                 dynamizer.add_variable(var)
                 live.append((step.var, var))
         elif step.op == "DEL":
-            var = next((vid for name, vid in reversed(live) if name == step.var), None)
             if store.failed:
                 record.diagnostic = "branch failed; DEL skipped"
             elif var is None:
                 record.diagnostic = f"variable {step.var} not live; DEL skipped"
             else:
-                value = scenario.value_id(step.values[0])
                 try:
-                    if store.remove_value(var, value):
+                    if store.remove_value(var, values[0]):
                         store.propagate_fixpoint()
                 except DomainWipeout:
                     record.diagnostic = "domain wipeout"
         elif step.op == "POP":
             undo_newest_add()
-        else:  # CHECK
+        record.wall_ns = time.perf_counter_ns() - t0
+        if step.op == "POP":
+            check_restored(f"POP at step {index}")
+        elif step.op == "CHECK":  # a CHECK only reads: nothing of it is timed
             record.check_domains = {
                 name: tuple(
                     scenario.value_names[v] for v in sorted(store.domains[vid])
@@ -142,9 +144,6 @@ def run_scenario(
                         result.oracle_mismatches.append(
                             f"step {index}: domains are not the oracle GAC fixpoint"
                         )
-        record.wall_ns = time.perf_counter_ns() - t0
-        if step.op == "POP":
-            check_restored(f"POP at step {index}")
         after = store.counters.snapshot()
         record.augment_visits = after[0] - before[0]
         record.filter_visits = after[1] - before[1]

@@ -42,11 +42,11 @@ class EmptyHistory(KernelError):
 
 
 class UncoveredVariable(KernelError):
-    """remove_edges_from_g called with a matching that misses a variable."""
+    """remove_edges_from_g or filter_adopted_edges found an unmatched variable."""
 
 
 class UnknownEdge(KernelError):
-    """remove_edges was asked to delete an edge the graph does not contain."""
+    """remove_edges was asked to delete an edge the graph lacks; it changed nothing."""
 
 
 class TooLarge(KernelError):

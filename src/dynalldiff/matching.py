@@ -168,10 +168,6 @@ class Matching:
         self.pair_of_var[var] = val
         self.pair_of_val[val] = var
 
-    def unmatch(self, var: int, val: int) -> None:
-        del self.pair_of_var[var]
-        del self.pair_of_val[val]
-
     def assign(self, pairs: Iterable[tuple[int, Optional[int]]]) -> None:
         """Set pair(var) = val, or unmatch var when val is None, pair by pair.
 
@@ -592,16 +588,26 @@ def deletion_keeps_filtered(
 
 
 def remove_edges(
-    graph: ValueGraph, matching: Matching, doomed: Iterable[tuple[int, int]]
+    graph: ValueGraph, matching: Matching, var: int, lost: list[int],
+    log: list[tuple[int, int]], flips: list[tuple[int, Optional[int]]],
 ) -> bool:
-    """Delete edges from the graph and matching; True iff a matched edge fell."""
-    damaged = False
-    for var, val in doomed:
-        if not graph.has_edge(var, val):
-            raise UnknownEdge(f"edge ({var}, {val}) not in graph")
-        if matching.pair_of_var.get(var) == val:
-            matching.unmatch(var, val)
-            damaged = True
+    """Delete var's edges to the distinct values `lost`; True iff its matched one fell.
+
+    Raises UnknownEdge, changing nothing, when an edge is missing.  Otherwise
+    it logs the edges to `log`, in `lost` order, and var's unmatch to `flips`
+    before it makes any change, so a fault part-way loses none.
+    """
+    edges = graph.adj_var.get(var)
+    if edges is None or not edges.issuperset(lost):
+        raise UnknownEdge(f"variable {var} lacks an edge to one of {lost}")
+    for val in lost:
+        log.append((var, val))
+    matched = matching.pair_of_var.get(var)
+    damaged = matched in lost
+    if damaged:
+        flips.append((var, matched))
+        matching.assign(((var, None),))
+    for val in lost:
         graph.remove_edge(var, val)
     return damaged
 

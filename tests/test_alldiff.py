@@ -166,12 +166,15 @@ def test_adopt_late_arrivals_extension():
 
 
 def test_adopt_locality_new_edges_touch_only_new_vars():
-    store, handle, _vars = triple_store()
+    store, handle, old = triple_store()
     prop = store.constraints[handle.id].propagator
+    before = {var: set(vals) for var, vals in prop.graph.adj_var.items()}
     x4 = store.add_variable({C, D})
     x5 = store.add_variable({D, E})
     _ok, delta = prop.add_variables(store, [x4, x5])
-    assert {var for var, _val in delta.added} == {x4, x5}
+    assert list(prop.graph.adj_var) == [*old, x4, x5]
+    assert {var: prop.graph.adj_var[var] for var in old} == before
+    assert delta.added == 4  # counted, not stored: the graph holds the edges
 
 
 def test_adopt_single_value_pigeonhole_fails():

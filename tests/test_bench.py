@@ -401,7 +401,8 @@ def test_run_scenario_survives_failed_branches():
 
 def test_checksums_taken_once_and_outside_the_timed_window(monkeypatch):
     # one hash per ADD (the skipped one too), one per POP and one per ADD
-    # still live after the last step, none timed
+    # still live after the last step, one symbol lookup per ADD or DEL
+    # value, and the oracle at the CHECK the pops made consistent; none timed
     text = (
         "VALUES a b c\nADD X1 a b\nADD X2 a b\nADD X3 a b c\nDEL X1 a\n"
         "DEL X1 b\nADD X4 c\nPOP\nPOP\nCHECK\n"
@@ -410,6 +411,7 @@ def test_checksums_taken_once_and_outside_the_timed_window(monkeypatch):
     events = []
     real_checksum = Store.checksum
     real_clock = bench.time.perf_counter_ns
+    real_oracle, real_value_id = bench.gac_filter_bruteforce, Scenario.value_id
 
     def checksum(self):
         events.append("hash")
@@ -419,13 +421,25 @@ def test_checksums_taken_once_and_outside_the_timed_window(monkeypatch):
         events.append("clock")
         return real_clock()
 
+    def oracle(predicate, domains):
+        events.append("oracle")
+        return real_oracle(predicate, domains)
+
+    def value_id(self, symbol):
+        events.append("value_id")
+        return real_value_id(self, symbol)
+
     monkeypatch.setattr(Store, "checksum", checksum)
     monkeypatch.setattr(bench, "time", SimpleNamespace(perf_counter_ns=clock))
+    monkeypatch.setattr(bench, "gac_filter_bruteforce", oracle)
+    monkeypatch.setattr(Scenario, "value_id", value_id)
     for mode in ("generic", "dynamic"):
         events.clear()
-        run = run_scenario(scenario, mode)
-        assert run.restore_mismatches == [], mode
+        run = run_scenario(scenario, mode, verify_oracle=True)
+        assert run.restore_mismatches == [] and run.oracle_mismatches == [], mode
         assert events.count("hash") == 4 + 2 + 2, mode
+        assert events.count("value_id") == 2 + 2 + 3 + 1 + 1 + 1, mode
+        assert events.count("oracle") == 1, mode
         assert events.count("clock") == 2 * len(scenario.steps)
         timed = False
         for event in events:

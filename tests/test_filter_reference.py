@@ -162,15 +162,13 @@ def check_deletion(domains, rng):
         return None
     var = rng.choice(open_vars)
     vals = sorted(graph.adj_var[var])
-    doomed = [(var, val) for val in rng.sample(vals, rng.randint(1, len(vals) - 1))]
-    damaged = remove_edges(graph, matching, doomed)
+    lost = rng.sample(vals, rng.randint(1, len(vals) - 1))
+    damaged = remove_edges(graph, matching, var, lost, [], [])
     expected = supported_edges(domains_of(graph))
     if not matching_covering_x(graph, matching, OpCounters(), [var], []):
         assert expected is None
         return None
-    keeps = deletion_keeps_filtered(
-        graph, matching, var, [v for _, v in doomed], OpCounters()
-    )
+    keeps = deletion_keeps_filtered(graph, matching, var, lost, OpCounters())
     if keeps:
         assert expected == edge_set(graph)
     remove_edges_from_g(graph, matching, OpCounters(), seeds=[var])

@@ -149,14 +149,13 @@ def _drop_domain_value(store, prop):
 
 
 def _unmatch(store, prop):
-    prop.matching.unmatch(0, prop.matching.pair_of_var[0])
+    prop.matching.assign([(0, None)])
 
 
 def _match_off_graph(store, prop):
     free = next(v for v in store.domains[0] if v not in prop.matching.pair_of_val)
     prop.graph.remove_edge(0, free)
-    prop.matching.unmatch(0, prop.matching.pair_of_var[0])
-    prop.matching.match(0, free)
+    prop.matching.assign([(0, free)])
 
 
 def _drop_watcher(store, prop):

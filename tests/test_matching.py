@@ -167,7 +167,7 @@ def test_reversed_flip_log_restores_after_a_fault_in_match(monkeypatch):
         graph = build_value_graph(random_graph(rng))
         start = compute_maximum_matching(graph, OpCounters())
         for var in rng.sample(sorted(start.pair_of_var), min(3, start.size)):
-            start.unmatch(var, start.pair_of_var[var])
+            start.assign([(var, None)])
         for k in itertools.count(1):
             matching = Matching()
             matching.assign(start.pair_of_var.items())
@@ -224,7 +224,7 @@ def test_one_variable_repair_flips_a_shortest_path_or_proves_hall():
         uncovered = [v for v in graph.adj_var if v not in matching.pair_of_var]
         if not uncovered:  # X covered: x loses its matched edge
             x = rng.choice(list(graph.adj_var))
-            remove_edges(graph, matching, [(x, matching.pair_of_var[x])])
+            remove_edges(graph, matching, x, [matching.pair_of_var[x]], [], [])
         elif len(uncovered) == 1:
             (x,) = uncovered
         else:
@@ -376,33 +376,57 @@ def test_remove_edges_unmatched_keeps_matching():
     graph = build_value_graph([(0, {A, B}), (1, {B})])
     matching = compute_maximum_matching(graph, OpCounters())
     before = dict(matching.pair_of_var)
-    assert remove_edges(graph, matching, [(0, B)]) is False
+    log, flips = [], []
+    assert remove_edges(graph, matching, 0, [B], log, flips) is False
     assert matching.pair_of_var == before
+    assert (log, flips) == ([(0, B)], [])
 
 
 def test_remove_edges_matched_uncovers():
     graph = build_value_graph([(0, {A, B}), (1, {B})])
     matching = compute_maximum_matching(graph, OpCounters())
     matched_val = matching.pair_of_var[0]
-    assert remove_edges(graph, matching, [(0, matched_val)]) is True
+    log, flips = [], []
+    assert remove_edges(graph, matching, 0, [matched_val], log, flips) is True
     assert 0 not in matching.pair_of_var
+    assert matched_val not in matching.pair_of_val
+    assert (log, flips) == ([(0, matched_val)], [(0, matched_val)])
 
 
 def test_remove_edges_mixed_count():
     graph = build_value_graph([(0, {A, B, C}), (1, {B})])
     matching = compute_maximum_matching(graph, OpCounters())
     size_before = matching.size
-    doomed = [(0, val) for val in (A, B, C) if graph.has_edge(0, val)]
+    lost = [val for val in (C, A, B) if graph.has_edge(0, val)]
     matched = matching.pair_of_var[0]
-    assert matched in {val for _, val in doomed}
-    assert remove_edges(graph, matching, doomed) is True
+    assert matched in lost
+    log, flips = [], []
+    assert remove_edges(graph, matching, 0, lost, log, flips) is True
     assert matching.size == size_before - 1
+    assert log == [(0, val) for val in lost]  # in the order given
+    assert flips == [(0, matched)]
 
 
 def test_remove_edges_unknown_edge():
     graph = build_value_graph([(0, {A})])
     with pytest.raises(UnknownEdge):
-        remove_edges(graph, Matching(), [(0, B)])
+        remove_edges(graph, Matching(), 0, [B], [], [])
+    with pytest.raises(UnknownEdge):
+        remove_edges(graph, Matching(), 1, [A], [], [])  # no such variable
+
+
+def test_remove_edges_refuses_before_any_change():
+    # one missing value: no edge removed, no unmatch, nothing logged
+    graph = build_value_graph([(0, {A, C}), (1, {C})])
+    matching = compute_maximum_matching(graph, OpCounters())
+    assert matching.pair_of_var == {0: A, 1: C}
+    before = graph_checksum(graph, matching), dict(matching.pair_of_val)
+    log, flips = [(1, B)], [(1, None)]
+    with pytest.raises(UnknownEdge):
+        remove_edges(graph, matching, 0, [A, B], log, flips)
+    assert (graph_checksum(graph, matching), dict(matching.pair_of_val)) == before
+    assert graph.adj_val == {A: {0}, C: {0, 1}}
+    assert (log, flips) == ([(1, B)], [(1, None)])
 
 
 def test_checksum_order_independent():
