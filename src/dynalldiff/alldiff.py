@@ -119,18 +119,17 @@ class AllDifferent:
         self.matching = matching
         return self._prune(store, remove_edges_from_g(graph, matching, store.counters))
 
-    def on_values_removed(self, store, var: int, values: list[int]) -> bool:
-        """Deletion propagation: values were just removed from var's domain.
+    def on_values_removed(self, store, var: int) -> bool:
+        """Deletion propagation: values were removed from var's domain.
 
-        Edges already absent from the graph (filtered earlier by this very
-        propagator) are skipped; they carry no new information.  When var
-        lost its matched edge, the matching is first repaired from var.
-        Then, when `deletion_keeps_filtered` finds a detour around each lost
-        edge, the graph is still filtered and the filter is not called;
-        otherwise var's component is re-filtered.
+        What var lost is its edges no longer in its domain.  When var lost
+        its matched edge, the matching is first repaired from var.  Then,
+        when `deletion_keeps_filtered` finds a detour around each lost edge,
+        the graph is still filtered and the filter is not called; otherwise
+        var's component is re-filtered.
         """
         graph, matching = self.graph, self.matching
-        lost = [val for val in values if graph.has_edge(var, val)]
+        lost = graph.adj_var[var] - store.domains[var]
         if not lost:
             return True
         delta = Delta(self)

@@ -90,7 +90,7 @@ closed under the orientation.
 from __future__ import annotations
 
 import hashlib
-from typing import Iterable, Optional
+from typing import Collection, Iterable, Optional
 
 from .errors import KernelError, UncoveredVariable, UnknownEdge
 
@@ -588,7 +588,7 @@ def deletion_keeps_filtered(
 
 
 def remove_edges(
-    graph: ValueGraph, matching: Matching, var: int, lost: list[int],
+    graph: ValueGraph, matching: Matching, var: int, lost: Collection[int],
     log: list[tuple[int, int]], flips: list[tuple[int, Optional[int]]],
 ) -> bool:
     """Delete var's edges to the distinct values `lost`; True iff its matched one fell.

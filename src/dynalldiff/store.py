@@ -10,8 +10,10 @@ whose entries are not on top raises NonLifoPop and stays on the trail.
 
 Failure is a sticky branch flag cleared only by popping a checkpoint pushed
 before the failure.  Propagation is an event queue drained by
-propagate_fixpoint: one coalesced event per (constraint, variable) pair per
-round, FIFO over pairs.
+propagate_fixpoint: an event is a (constraint, variable) key with no values,
+queued at most once until delivered, FIFO; a propagator tells what it lost
+from its own state (`AllDifferent`: its edges minus the domain).  A pop
+restores the queue to the keys pending at its push.
 """
 
 from __future__ import annotations
@@ -35,11 +37,12 @@ from .matching import OpCounters
 class CheckpointToken:
     """An open checkpoint: its own trail frame, at index `depth`; undo is a no-op."""
 
-    __slots__ = ("depth",)
+    __slots__ = ("depth", "queued")
     cells = 1
 
-    def __init__(self, depth: int):
+    def __init__(self, depth: int, queued: tuple[tuple[int, int], ...]):
         self.depth = depth
+        self.queued = queued  # the event keys pending at the push
 
     def undo(self, store: "Store") -> None:
         pass
@@ -169,7 +172,7 @@ class Store:
         self.counters = OpCounters()
         self._open_tokens: list[CheckpointToken] = []
         self._event_order: deque[tuple[int, int]] = deque()
-        self._pending: dict[tuple[int, int], list[int]] = {}
+        self._pending: set[tuple[int, int]] = set()  # the keys in _event_order
 
     # -- trail ------------------------------------------------------------
 
@@ -214,8 +217,8 @@ class Store:
     def remove_value(self, var: int, value: int, cause: Optional[int] = None) -> bool:
         """Delete `value` from var's domain; returns True iff anything changed.
 
-        Queues one propagation event per active watching constraint (except
-        `cause`, the constraint that performed the removal itself).  Raises
+        Queues (cid, var), unless pending, for each active watcher cid but
+        `cause`, the constraint that performed the removal itself.  Raises
         DomainWipeout and marks the branch failed when the domain empties.
         """
         self._check_var(var)
@@ -228,16 +231,18 @@ class Store:
         dom.discard(value)
         self.trail_push(_ValueRemoved(var, value))
         for cid in self.watchers[var]:
-            if cid == cause:
+            if cid == cause or not self.constraints[cid].active:
                 continue
-            if self.constraints[cid].active:
-                self._queue_event(cid, var, value)
+            key = (cid, var)
+            if key not in self._pending:
+                self._pending.add(key)
+                self._event_order.append(key)
         return True
 
     # -- checkpoints --------------------------------------------------------
 
     def push_checkpoint(self) -> CheckpointToken:
-        token = CheckpointToken(len(self.trail))
+        token = CheckpointToken(len(self.trail), tuple(self._event_order))
         self.trail_push(token)
         self._open_tokens.append(token)
         return token
@@ -253,9 +258,10 @@ class Store:
             raise NonLifoPop(f"{token} does not mark its trail position")
         self.trail.pop()
         self._open_tokens.pop()
-        # events queued on the abandoned branch are moot
-        self._event_order.clear()
+        self._event_order.clear()  # back to the keys pending at the push
+        self._event_order.extend(token.queued)
         self._pending.clear()
+        self._pending.update(token.queued)
 
     # -- constraints ---------------------------------------------------------
 
@@ -301,32 +307,27 @@ class Store:
 
     # -- propagation -----------------------------------------------------------
 
-    def _queue_event(self, cid: int, var: int, value: int) -> None:
-        key = (cid, var)
-        if key in self._pending:
-            self._pending[key].append(value)
-        else:
-            self._pending[key] = [value]
-            self._event_order.append(key)
-
     def _fail(self) -> None:
         if not self.failed:
             self.failed = True
             self.trail_push(_FailedFlag())
 
     def propagate_fixpoint(self) -> bool:
-        """Deliver queued events until quiescence; False iff the branch failed."""
+        """Deliver queued keys until quiescence; False iff the branch failed.
+
+        A key (cid, var) calls `on_values_removed(store, var)` on cid's propagator.
+        """
         if self.failed:
             self._event_order.clear()
             self._pending.clear()
             return False
         while self._event_order:
-            cid, var = self._event_order.popleft()
-            values = self._pending.pop((cid, var))
+            cid, var = key = self._event_order.popleft()
+            self._pending.remove(key)
             handle = self.constraints[cid]
             if not handle.active:
                 continue
-            if not handle.propagator.on_values_removed(self, var, values):
+            if not handle.propagator.on_values_removed(self, var):
                 self._fail()
                 self._event_order.clear()
                 self._pending.clear()
@@ -336,7 +337,7 @@ class Store:
     # -- inspection ---------------------------------------------------------
 
     def checksum(self) -> str:
-        """Digest of domains, constraint set, activation flags and internals."""
+        """Digest of domains, constraint set, activation flags, internals and queue."""
         state = (
             tuple(tuple(sorted(dom)) for dom in self.domains),
             tuple(
@@ -344,6 +345,7 @@ class Store:
                 for h in self.constraints
             ),
             self.failed,
+            tuple(self._event_order),
         )
         return hashlib.sha256(repr(state).encode()).hexdigest()
 

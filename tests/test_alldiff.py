@@ -141,7 +141,8 @@ def test_propagate_second_deletion_inconsistent():
     assert store.propagate_fixpoint() is True
     assert store.domain(x1) == {B} and store.domain(x2) == {A}
     assert gac_filter_bruteforce(all_values_distinct, [set(), {A}, {C}]) is None
-    assert prop.on_values_removed(store, x1, [B]) is False
+    store.domains[x1].discard(B)  # as no remove_value may: x1 left empty
+    assert prop.on_values_removed(store, x1) is False
 
 
 def test_adopt_late_arrivals_extension():

@@ -86,3 +86,16 @@ def test_adoption_grows_one_propagator_and_forgets_it_with_the_last_addition():
         store.retract_last_variable()
     assert dynamizer.propagator is None
     assert store.constraints == [] and store.trail == []
+
+
+def test_an_addition_and_its_removal_keep_a_queued_event(make):
+    # the removal from x is still queued when the addition pushes its
+    # checkpoint; its pop must queue it again for the next fixpoint
+    store, dynamizer = grown(make, [{A, B}, {A, B, C}])
+    store.remove_value(0, B)
+    dynamizer.add_variable(store.add_variable({A, C}))
+    dynamizer.remove_variable()
+    store.retract_last_variable()
+    assert store.propagate_fixpoint() is True
+    assert store.domains == [{A}, {B, C}]
+    store.validate()

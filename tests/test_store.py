@@ -24,7 +24,7 @@ A, B, C = 0, 1, 2
 
 
 class RecordingPropagator:
-    """Inert propagator that logs deliveries, for event-plumbing tests."""
+    """Inert propagator that logs each delivery's variable and its domain then."""
 
     def __init__(self, variables):
         self.variables = list(variables)
@@ -34,8 +34,8 @@ class RecordingPropagator:
     def init(self, store, handle):
         return True
 
-    def on_values_removed(self, store, var, values):
-        self.delivered.append((var, tuple(values)))
+    def on_values_removed(self, store, var):
+        self.delivered.append((var, frozenset(store.domains[var])))
         return self.verdict
 
     def frozen_cells(self):
@@ -297,11 +297,12 @@ def test_event_completeness_one_event_per_watcher():
     store.post_constraint(p2)
     store.remove_value(var, A)
     store.propagate_fixpoint()
-    assert p1.delivered == [(var, (A,))]
-    assert p2.delivered == [(var, (A,))]
+    assert p1.delivered == [(var, frozenset({B, C}))]
+    assert p2.delivered == [(var, frozenset({B, C}))]
 
 
-def test_events_coalesced_per_round():
+def test_events_coalesced_until_delivered():
+    # two removals queue one key, and its delivery sees both in the domain
     store = Store()
     var = store.add_variable({A, B, C})
     prop = RecordingPropagator([var])
@@ -309,7 +310,34 @@ def test_events_coalesced_per_round():
     store.remove_value(var, A)
     store.remove_value(var, B)
     store.propagate_fixpoint()
-    assert prop.delivered == [(var, (A, B))]
+    assert prop.delivered == [(var, frozenset({C}))]
+
+
+def test_pop_restores_events_queued_before_its_push():
+    # x's removal is still queued at the push; the pop must put it back, so
+    # that the fixpoint after it still filters y to GAC
+    store = Store()
+    x = store.add_variable({A, B})
+    y = store.add_variable({A, B, C})
+    store.post_constraint(AllDifferent([x, y]))
+    assert store.propagate_fixpoint()
+    store.remove_value(x, B)
+    before = store.checksum()
+    store.pop_checkpoint(store.push_checkpoint())
+    assert store.checksum() == before
+    assert store.propagate_fixpoint() is True
+    assert store.domains == [{A}, {B, C}]
+    store.validate()
+
+
+def test_checksum_sees_the_event_queue():
+    store = Store()
+    var = store.add_variable({A, B, C})
+    store.post_constraint(RecordingPropagator([var]))
+    before = store.checksum()
+    store.remove_value(var, A)
+    store.domains[var].add(A)  # the domains as before, the key still queued
+    assert store.checksum() != before
 
 
 def test_fixpoint_on_a_failed_branch_delivers_nothing():

@@ -5,8 +5,9 @@ anything, and logs each change before making it, so popping the checkpoint
 restores the store even when the call raised half-way.  Faults are injected
 at the matching functions the propagator calls and at every mutation point
 below them, at each call a step makes.  The state machine replays push, pop,
-ADD and DEL through the adopting and the re-posting dynamizer side by side
-and checks them against each other and against `Store.validate` after
+ADD and DEL (also a DEL whose events wait in the queue while a checkpoint is
+pushed and popped) through the adopting and the re-posting dynamizer side by
+side and checks them against each other and against `Store.validate` after
 every step, and against the brute-force oracle where the domain product is
 at most 10**4; a seeded run drives the same rules for 2400 steps.
 """
@@ -297,6 +298,10 @@ def test_pop_restores_the_store_after_a_fault_at_any_call(monkeypatch, step, poi
 
 VALUES = 6
 DOMAINS = st.frozensets(st.integers(0, VALUES - 1), min_size=1, max_size=4)
+can_delete = precondition(
+    lambda self: not self.dynamic.failed
+    and any(len(dom) > 1 for dom in self.dynamic.domains)
+)
 
 
 class TwoEngines(RuleBasedStateMachine):
@@ -305,7 +310,8 @@ class TwoEngines(RuleBasedStateMachine):
     Both stores get the same variables in the same order, so ids match, and
     both dynamizers must give the same verdict on every ADD.  POP undoes
     the newest ADD or push, checking that both stores return to their
-    checksums and watcher stacks from before it.
+    checksums and watcher stacks from before it.  A pop also restores the
+    events queued before its push, which `delete_across_a_checkpoint` needs.
     """
 
     def __init__(self):
@@ -342,18 +348,28 @@ class TwoEngines(RuleBasedStateMachine):
         assert len(verdicts) == 1
         self.undo.append((None, before))
 
-    @precondition(
-        lambda self: not self.dynamic.failed
-        and any(len(dom) > 1 for dom in self.dynamic.domains)
-    )
-    @rule(pick=st.integers(0, 2**16), value_pick=st.integers(0, 2**16))
-    def delete(self, pick, value_pick):
+    def pick_removal(self, pick, value_pick):
         open_vars = [v for v, dom in enumerate(self.dynamic.domains) if len(dom) > 1]
         var = open_vars[pick % len(open_vars)]
         values = sorted(self.dynamic.domains[var])
-        value = values[value_pick % len(values)]
+        return var, values[value_pick % len(values)]
+
+    @can_delete
+    @rule(pick=st.integers(0, 2**16), value_pick=st.integers(0, 2**16))
+    def delete(self, pick, value_pick):
+        var, value = self.pick_removal(pick, value_pick)
         for store in (self.dynamic, self.generic):
             store.remove_value(var, value)
+            store.propagate_fixpoint()
+
+    @can_delete
+    @rule(pick=st.integers(0, 2**16), value_pick=st.integers(0, 2**16))
+    def delete_across_a_checkpoint(self, pick, value_pick):
+        """A DEL whose events wait in the queue across a checkpoint's push and pop."""
+        var, value = self.pick_removal(pick, value_pick)
+        for store in (self.dynamic, self.generic):
+            store.remove_value(var, value)
+            store.pop_checkpoint(store.push_checkpoint())
             store.propagate_fixpoint()
 
     @rule()
@@ -398,6 +414,9 @@ TestTwoEngines.settings = settings(
 def test_a_long_interleaving_of_both_engines():
     """2400 seeded push / pop / ADD / DEL steps through `TwoEngines`' rules.
 
+    About one DEL in four leaves its events queued while a checkpoint is
+    pushed and popped, and only then runs the fixpoint.
+
     Up to 7 variables over 10 values stay live, so deletions keep finding
     open domains, and checkpoints nest about 30 frames deep; every step is
     followed by the machine's invariant, and every pop checks restoration.
@@ -415,14 +434,15 @@ def test_a_long_interleaving_of_both_engines():
                 rules.append(("add", 3))
             if any(len(dom) > 1 for dom in dynamic.domains):
                 rules.append(("delete", 3))
+                rules.append(("delete_across_a_checkpoint", 1))
         if machine.undo:
             rules.append(("pop", 3))
         names, weights = zip(*rules)
         name = rng.choices(names, weights)[0]
         if name == "add":
             machine.add(frozenset(rng.sample(range(10), rng.randint(2, 5))))
-        elif name == "delete":
-            machine.delete(rng.randrange(2**16), rng.randrange(2**16))
+        elif name.startswith("delete"):
+            getattr(machine, name)(rng.randrange(2**16), rng.randrange(2**16))
         else:
             getattr(machine, name)()
         machine.engines_agree()
