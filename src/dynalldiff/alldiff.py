@@ -5,21 +5,22 @@ when it leaves a variable uncovered; otherwise edges in no covering matching
 are deleted and pushed back to the store as value removals.
 
 Between calls the graph is filtered: every edge lies on a matching covering
-X.  A change can only cost support to edges in the connected components of
-the vertices it touched, so each call re-filters just those components, and
-its cost follows the size of the touched component, not of the whole graph:
+X.  A change can only cost support to the edges of the variables it
+touched and to the edges into the values of the variables that reach them
+and reach no free value (see `dynalldiff.matching`), so each call
+re-filters just that region, and its cost follows the region, not the
+component or the whole graph:
 
 * a deletion removes edges, repairs the matching in place from `var` only
-  when its matched edge was lost, and re-filters `var`'s component (a part
-  the deletion splits off loses no support; see `dynalldiff.matching`),
-  unless `deletion_keeps_filtered` proves that every lost arc has a
+  when its matched edge was lost, and re-filters the region that reaches
+  `var`, unless `deletion_keeps_filtered` proves that every lost arc has a
   detour, so nothing can have lost support;
 * an adoption adds the new variables' edges (touching only the new
   variables) and extends the matching in place from them.  When every new
   variable then reaches a free value, no Hall set holds one, and only new
   edges can lose support: `filter_adopted_edges` removes those, found by
   the new variables' own searches, and the filter is not called.
-  Otherwise their component is re-filtered.
+  Otherwise the region that reaches the new variables is re-filtered.
 
 Each deletion or adoption puts one `Delta` on the store's trail before it
 changes anything, and logs every change into it as the change happens, so
@@ -126,7 +127,7 @@ class AllDifferent:
         its matched edge, the matching is first repaired from var.  Then,
         when `deletion_keeps_filtered` finds a detour around each lost edge,
         the graph is still filtered and the filter is not called; otherwise
-        var's component is re-filtered.
+        the filter runs seeded at var, over the region that reaches it.
         """
         graph, matching = self.graph, self.matching
         lost = graph.adj_var[var] - store.domains[var]
@@ -156,8 +157,9 @@ class AllDifferent:
         """Adopt new variables; returns (consistent, the call's Delta).
 
         On success the matching covers the extended set, and the edges that
-        `filter_adopted_edges` removes, or the seeded filter when that
-        falls back, are pushed to the store as value removals.  On failure,
+        `filter_adopted_edges` removes, or the filter seeded at the new
+        variables when that falls back, are pushed to the store as value
+        removals.  On failure,
         or on a branch that has failed already (no search runs there), the
         store branch is marked failed and the Delta holds the graph
         additions and the flips of any search that succeeded before the

@@ -12,26 +12,57 @@ Orientation convention, fixed project wide: matched edges point value to
 variable, unmatched edges point variable to value.
 
 Local cost.  A graph is *filtered* when every edge lies on some matching
-that covers X.  An edge's support (being matched, lying on an alternating
-cycle, or on an even alternating path from a free value) never leaves its
-connected component, so after a change to a filtered graph only some
-components can lose edges, and `remove_edges_from_g` filters just the
-components of the variables it is given as seeds:
+that covers X.  Under such a matching, call a variable *alive* when it
+reaches a free value in the oriented graph and *dead* otherwise, with each
+value vertex merged into its owner (x has an arc to y when x has an
+unmatched edge to y's matched value).  An unmatched edge (z, a) to a
+matched value is unsupported exactly when a's owner w is dead and z is not
+in w's strongly connected component (SCC): an even alternating path from a
+free value to (z, a) is a path from w to a free value, and an alternating
+cycle through (z, a) is a path from w back to z.  The variables a dead w
+reaches form a closed set H whose values are exactly H's matched values,
+so |D(H)| = |H|: a Hall set that takes a and does not hold z.
 
-* after adding variables, their component, which holds every augmenting
-  path from them;
-* after deleting edges at a variable x, x's component.  A part the deletion
-  splits off keeps its matching and loses no support: a cycle or path that
-  reached x through a deleted edge leaves the part either at a value freed
-  by deleting x's matched edge (which now supports that piece as the start
-  of an even path) or as the start of an old path from a free value.
+After a change to a filtered graph, at the *seeds* (the new variables of
+an adoption, or the variable x a deletion cut edges from), an edge (z, a)
+that is unsupported now, with a matched to w, has its value in the
+*region* R, the dead variables that reach a seed, or is a seed's own edge.
+`remove_edges_from_g` with seeds re-filters just those edges:
+
+* adoption.  Adopting adds edges at the new variables only.  If the Hall
+  set H that a dead w reaches held no new variable, H was a Hall set
+  before the adoption too, with the same edges, and (z, a) would have been
+  removed then, unless z is new.  So w reaches a new variable, a dead
+  seed, and w is in R; an unsupported edge of a new variable z is one of
+  the seeds' own edges, which are swept apart (a's owner need not reach z);
+* deletion at x.  The graph before the deletion was filtered, and that
+  holds under whatever covering matching it is read with, the repaired one
+  included; under that one every lost arc leaves x and is unmatched.  So
+  (z, a) had a support there, a path from w to a free value or to z, and
+  it broke: it used a lost arc out of x.  Its part from w to the first
+  visit of x uses no arc out of x and is intact, so w reaches x, which is
+  then dead, and w is in R.
+
+So R is found by a walk backward from the dead seeds, the predecessors of
+w being the variables with an edge to w's matched value, and it expands
+only through dead variables: whatever reaches a live one is alive.  The
+edges into R's matched values are swept on the way, which removes those
+whose variable is alive or in another SCC, and then each seed's unmatched
+edges to dead values outside its own SCC.  Liveness and the SCCs come
+from one iterative Tarjan forest, grown from each variable the walk meets
+that is not yet known: a tree is abandoned at its first arc to a free
+value or to a live variable, and every variable still open in it reaches
+that arc, so all of them are alive; every SCC that completes reaches only
+dead ones, so it is dead.  No variable enters the forest twice, and
+nothing is kept between calls.  A part that a deletion splits off keeps
+its matching and is not walked unless it reaches x.
 
 `matching_covering_x` extends the matching in place from the uncovered
 variables the caller names, logging each flip, and answers whether it
 covered them all.  It undoes nothing itself: a failed search flips nothing,
 and flips made before it stay in the caller's log, which the caller's trail
-frame replays backwards at the pop.  Both then cost on the order of the
-touched component, not of the whole graph.
+frame replays backwards at the pop.  It costs on the order of the touched
+component, not of the whole graph.
 
 Augmenting.  Every matching, at `init` as after an adoption or a lost
 matched edge, grows by one breadth-first search per uncovered variable,
@@ -74,7 +105,7 @@ variable reaches no free value it changes nothing, and the caller runs
 reading of Regin's filter (AAAI 1994) and of the Dulmage-Mendelsohn
 decomposition (Canad. J. Math. 10, 1958).
 
-Reachability first.  Inside the filtered part, the search from the free
+Reachability first.  In the whole-graph filter, the search from the free
 values runs before any strongly connected component is computed: every edge
 to a value that reaches a free value is kept without further work.  Tarjan
 then runs only over the variables whose matched value reaches no free value,
@@ -297,27 +328,6 @@ def matching_covering_x(
     return True
 
 
-def _component(
-    graph: ValueGraph, seeds: Iterable[int]
-) -> tuple[list[int], list[int]]:
-    """Variables and values of the connected components holding the seeds."""
-    adj_var, adj_val = graph.adj_var, graph.adj_val
-    variables = list(dict.fromkeys(seeds))
-    values: list[int] = []
-    seen_vars, seen_vals = set(variables), set()
-    for var in variables:  # grows while it is walked
-        fresh = adj_var[var] - seen_vals
-        if fresh:
-            seen_vals |= fresh
-            values.extend(fresh)
-            for val in fresh:
-                new = adj_val[val] - seen_vars
-                if new:
-                    seen_vars |= new
-                    variables.extend(new)
-    return variables, values
-
-
 def _strong_components(
     graph: ValueGraph, matching: Matching, variables: list[int]
 ) -> dict[int, int]:
@@ -372,6 +382,170 @@ def _strong_components(
     return component
 
 
+def _live_tree(
+    graph: ValueGraph,
+    matching: Matching,
+    root: int,
+    alive: set[int],
+    dead: dict[int, int],
+) -> int:
+    """Grow one tree of the liveness forest from `root`; the variables it indexed.
+
+    An iterative Tarjan over the matched variables, each value merged into
+    its owner, as in `_strong_components`, from a variable in neither
+    `alive` nor `dead`, the forest's results, which the caller keeps across
+    the trees of one call.  At the first arc to a free value or to a live
+    variable the tree is abandoned: every variable still open in it reaches
+    that arc and joins `alive`.  Each strongly connected component that
+    completes reaches only dead ones, and `dead` maps its variables to its
+    root.  So a tree ends with each variable it indexed in one of the two,
+    and a variable it meets in neither is open in it.
+    """
+    adj_var = graph.adj_var
+    pair_of_var = matching.pair_of_var
+    pair_of_val = matching.pair_of_val
+    matched = pair_of_var.get(root)
+    if matched is None:
+        raise UncoveredVariable(f"variable {root} is not covered")
+    index = {root: 0}
+    low = {root: 0}
+    stack = [root]
+    work = [(root, matched, iter(adj_var[root]))]
+    while work:
+        var, matched, vals = work[-1]
+        for val in vals:
+            if val == matched:
+                continue
+            nxt = pair_of_val.get(val)
+            if nxt is None or nxt in alive:
+                alive.update(stack)
+                return len(index)
+            if nxt in dead:
+                continue
+            if nxt not in index:
+                index[nxt] = low[nxt] = len(index)
+                stack.append(nxt)
+                work.append((nxt, pair_of_var[nxt], iter(adj_var[nxt])))
+                break
+            if index[nxt] < low[var]:  # open, so on the stack
+                low[var] = index[nxt]
+        else:
+            work.pop()
+            if work:
+                parent = work[-1][0]
+                if low[var] < low[parent]:
+                    low[parent] = low[var]
+            if low[var] == index[var]:
+                while True:
+                    member = stack.pop()
+                    dead[member] = var
+                    if member == var:
+                        break
+    return len(index)
+
+
+def _unsupported_near(
+    graph: ValueGraph, matching: Matching, seeds: list[int]
+) -> tuple[list[tuple[int, int]], int]:
+    """The unsupported edges of the region that reaches the seeds, and the visits.
+
+    The region R is the dead variables that reach a dead seed, walked
+    backward from the dead seeds through the edges into each member's
+    matched value.  Each edge met there is removed when its variable is alive or
+    in another strongly connected component, and a dead variable met joins
+    R.  Then each seed's unmatched edges to dead values outside R and
+    outside the seed's own component are removed.  Liveness and the
+    components come from `_live_tree`, grown from each variable met that is
+    not yet known; each variable it indexes counts one visit.
+    """
+    adj_var, adj_val = graph.adj_var, graph.adj_val
+    pair_of_var = matching.pair_of_var
+    pair_of_val = matching.pair_of_val
+    alive: set[int] = set()
+    dead: dict[int, int] = {}  # variable -> root of its component
+    visits = 0
+    for seed in seeds:
+        if seed not in alive and seed not in dead:
+            visits += _live_tree(graph, matching, seed, alive, dead)
+    region = [seed for seed in seeds if seed in dead]
+    in_region = set(region)
+    removed: list[tuple[int, int]] = []
+    for var in region:  # grows while it is walked
+        val = pair_of_var[var]
+        own = dead[var]
+        for pred in adj_val[val]:
+            if pred == var:
+                continue
+            if pred not in alive and pred not in dead:
+                visits += _live_tree(graph, matching, pred, alive, dead)
+            if pred in alive:
+                removed.append((pred, val))
+                continue
+            if dead[pred] != own:
+                removed.append((pred, val))
+            if pred not in in_region:
+                in_region.add(pred)
+                region.append(pred)
+    for seed in seeds:
+        matched = pair_of_var[seed]
+        own = dead.get(seed)  # None for a live seed
+        for val in adj_var[seed]:
+            owner = pair_of_val.get(val)
+            if val == matched or owner is None or owner in in_region:
+                continue
+            if owner not in alive and owner not in dead:
+                visits += _live_tree(graph, matching, owner, alive, dead)
+            if owner in dead and dead[owner] != own:
+                removed.append((seed, val))
+    return removed, visits
+
+
+def _unsupported(
+    graph: ValueGraph, matching: Matching
+) -> tuple[list[tuple[int, int]], int]:
+    """Every unsupported edge of the graph, and the visits it took."""
+    adj_var, adj_val = graph.adj_var, graph.adj_val
+    pair_of_var = matching.pair_of_var
+    pair_of_val = matching.pair_of_val
+    for var in adj_var:
+        if var not in pair_of_var:
+            raise UncoveredVariable(f"variable {var} is not covered")
+
+    # Values that reach a free value: walk the transposed orientation
+    # (unmatched val->var, matched var->val) from the free ones.  A matched
+    # value is reached only through its owner, so no owner is met twice.
+    reached_vals = {val for val in adj_val if val not in pair_of_val}
+    reached_vars: set[int] = set()
+    frontier = list(reached_vals)
+    visits = 0
+    while frontier:
+        val = frontier.pop()
+        visits += 1
+        for var in adj_val[val] - reached_vars:
+            reached_vars.add(var)
+            visits += 1
+            matched_val = pair_of_var[var]
+            reached_vals.add(matched_val)
+            frontier.append(matched_val)
+
+    component = _strong_components(
+        graph, matching, [var for var in adj_var if var not in reached_vars]
+    )
+    visits += len(component)
+
+    removed: list[tuple[int, int]] = []
+    for var, vals in adj_var.items():
+        rest = vals - reached_vals
+        if not rest:
+            continue
+        matched = pair_of_var[var]
+        own = component.get(var)  # None when var's value reaches a free one
+        for val in rest:
+            if val != matched and component[pair_of_val[val]] != own:
+                removed.append((var, val))
+    return removed, visits
+
+
 def remove_edges_from_g(
     graph: ValueGraph,
     matching: Matching,
@@ -384,65 +558,27 @@ def remove_edges_from_g(
     Kept edges are the matched ones, those on an even alternating path from
     a free value vertex (their value reaches a free value in the oriented
     graph) and those on an alternating cycle (both ends in one strongly
-    connected component).  The search from the free values runs first; the
-    strongly connected components are then found only among the variables
-    whose value does not reach a free value, and only the edges to values
-    that do not reach one are swept.  That is exact: a vertex that reaches a
-    free value shares no component with one that does not, and every value
-    that does not reach one is matched, to a variable of that same closed
-    set.
+    connected component).
 
-    Without `seeds` the whole graph is filtered, in O(m + p + d).  With
-    seeds, the variables a change touched, only their connected component is
-    filtered; that is exact when the graph was filtered before the change
-    (see the module docstring).  Removed edges come in ascending
-    (var, value) order; they are appended to `log`, when one is given,
-    before the first of them is deleted, so a fault part-way loses none.
+    Without `seeds` the whole graph is filtered, in O(m + p + d).  The
+    search from the free values runs first; the strongly connected
+    components are then found only among the variables whose value does not
+    reach a free value, and only the edges to values that do not reach one
+    are swept.  That is exact: a vertex that reaches a free value shares no
+    component with one that does not, and every value that does not reach
+    one is matched, to a variable of that same closed set.
+
+    With seeds, the variables a change touched, only the dead variables that
+    reach a seed, and the seeds' own edges, are filtered; that is exact
+    when the graph was filtered before the change (see the module
+    docstring).  Removed edges come in ascending (var, value) order; they
+    are appended to `log`, when one is given, before the first of them is
+    deleted, so a fault part-way loses none.
     """
-    adj_var, adj_val = graph.adj_var, graph.adj_val
-    pair_of_var = matching.pair_of_var
-    pair_of_val = matching.pair_of_val
     if seeds is None:
-        variables, values = list(adj_var), list(adj_val)
-        visits = 0
+        removed, visits = _unsupported(graph, matching)
     else:
-        variables, values = _component(graph, seeds)
-        visits = len(variables) + len(values)
-    for var in variables:
-        if var not in pair_of_var:
-            raise UncoveredVariable(f"variable {var} is not covered")
-
-    # Values that reach a free value: walk the transposed orientation
-    # (unmatched val->var, matched var->val) from the free ones.  A matched
-    # value is reached only through its owner, so no owner is met twice.
-    reached_vals = {val for val in values if val not in pair_of_val}
-    reached_vars: set[int] = set()
-    frontier = list(reached_vals)
-    while frontier:
-        val = frontier.pop()
-        visits += 1
-        for var in adj_val[val] - reached_vars:
-            reached_vars.add(var)
-            visits += 1
-            matched_val = pair_of_var[var]
-            reached_vals.add(matched_val)
-            frontier.append(matched_val)
-
-    component = _strong_components(
-        graph, matching, [var for var in variables if var not in reached_vars]
-    )
-    visits += len(component)
-
-    removed: list[tuple[int, int]] = []
-    for var in variables:
-        rest = adj_var[var] - reached_vals
-        if not rest:
-            continue
-        matched = pair_of_var[var]
-        own = component.get(var)  # None when var's value reaches a free one
-        for val in rest:
-            if val != matched and component[pair_of_val[val]] != own:
-                removed.append((var, val))
+        removed, visits = _unsupported_near(graph, matching, list(dict.fromkeys(seeds)))
     removed.sort()
     if log is not None:
         log.extend(removed)

@@ -14,15 +14,22 @@ must keep exactly the reference's edges, and when a deletion of unmatched
 edges, or of a matched edge once the matching is repaired, passes
 `deletion_keeps_filtered`, the reference must keep every edge left.  On
 every adoption that `filter_adopted_edges` decides, it must remove exactly
-the seeded filter's edges and keep exactly the reference's.
+the seeded filter's edges and keep exactly the reference's.  At scale, on
+one alldifferent of about 400 variables with many Hall sets, every seeded
+filter call that a propagator makes, after an adoption or a deletion, must
+remove exactly the edges the whole-graph filter removes from a copy.
 """
 
 import copy
+import math
 import random
+import sys
 from collections import Counter
 
 import pytest
 
+import dynalldiff.alldiff
+from dynalldiff.alldiff import AdoptingDynamizer
 from dynalldiff.matching import (
     OpCounters,
     build_value_graph,
@@ -33,6 +40,7 @@ from dynalldiff.matching import (
     remove_edges,
     remove_edges_from_g,
 )
+from dynalldiff.store import Store
 
 
 def _kuhn(var, domains, owner, tried):
@@ -272,3 +280,43 @@ def test_adoption_rule_walks_back_through_the_new_variable():
     domains = {0: {0, 3}, 1: {0, 3, 4}, 2: {2, 3}}
     assert (1, 0) in supported_edges(domains)
     assert check_adoption(domains, [1, 2]) == "kept"
+
+
+def test_seeded_filter_is_exact_on_the_hall_family(monkeypatch):
+    # one alldifferent grown by 400 adoptions (a few fail and are popped),
+    # the i-th domain 6 values from the first ceil(1.25 i), which leaves few
+    # values free and makes many Hall sets, then 300 single-value deletions,
+    # each pushed, propagated and popped.  Every seeded filter call, from a
+    # failed adoption rule or a failed deletion check, must remove exactly
+    # what the whole-graph filter removes from a copy of the same graph.
+    real = dynalldiff.alldiff.remove_edges_from_g
+    fallbacks = Counter()  # the calling method -> seeded calls
+
+    def checked(graph, matching, counters, seeds=None, log=None):
+        if seeds is None:
+            return real(graph, matching, counters)
+        fallbacks[sys._getframe(1).f_code.co_name] += 1
+        whole = copy.deepcopy((graph, matching))
+        removed = real(graph, matching, counters, seeds=seeds, log=log)
+        assert removed == real(*whole, OpCounters())
+        return removed
+
+    monkeypatch.setattr(dynalldiff.alldiff, "remove_edges_from_g", checked)
+    rng = random.Random(0)
+    store = Store()
+    grower = AdoptingDynamizer(store)
+    for i in range(1, 401):
+        var = store.add_variable(rng.sample(range(max(6, math.ceil(1.25 * i))), 6))
+        if not grower.add_variable(var):
+            grower.remove_variable()
+            store.retract_last_variable()
+    assert len(grower.variables) >= 350
+    for _ in range(300):
+        var = rng.choice([v for v in grower.variables if len(store.domains[v]) > 1])
+        token = store.push_checkpoint()
+        store.remove_value(var, rng.choice(sorted(store.domains[var])))
+        store.propagate_fixpoint()
+        store.pop_checkpoint(token)
+    store.validate()
+    assert fallbacks["add_variables"] >= 50, fallbacks
+    assert fallbacks["on_values_removed"] >= 100, fallbacks

@@ -1,19 +1,22 @@
 """Local filtering: the same result as whole-graph filtering, at local cost.
 
-Adoption and deletion re-filter only the connected components of the value
-graph that the change touched.  That is exact only if the rest of the graph
-was already filtered, so after every consistent step a whole-graph filter
-over a copy of each live propagator must find nothing left to remove.  A
-deletion of unmatched edges that `deletion_keeps_filtered` proves harmless
-skips the filter, and must leave the store as the filter would.  So must an
-adoption whose new variables all reach a free value, which
-`filter_adopted_edges` prunes without the filter, at a cost that does not
-grow with p.
+Adoption and deletion re-filter only the dead variables that reach the
+change, and the changed variables' own edges.  That is exact only if the
+rest of the graph was already filtered, so after every consistent step a
+whole-graph filter over a copy of each live propagator must find nothing
+left to remove.  A deletion of unmatched edges that `deletion_keeps_filtered`
+proves harmless skips the filter, and must leave the store as the filter
+would.  So must an adoption whose new variables all reach a free value,
+which `filter_adopted_edges` prunes without the filter, at a cost that does
+not grow with p.  Where the filter does run, after an adoption or a
+deletion in a part that reaches free values, its cost does not grow with p
+either, and a region longer than the recursion limit is filtered exactly.
 """
 
 import copy
 import random
 import statistics
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +25,15 @@ from hypothesis import strategies as st
 import dynalldiff.alldiff
 from dynalldiff.alldiff import AllDifferent
 from dynalldiff.errors import DomainWipeout, InitFailure, KernelError
-from dynalldiff.matching import OpCounters, remove_edges_from_g
+from dynalldiff.matching import (
+    Matching,
+    OpCounters,
+    build_value_graph,
+    deletion_keeps_filtered,
+    matching_covering_x,
+    remove_edges,
+    remove_edges_from_g,
+)
 from dynalldiff.store import Store
 
 VALUES = 6
@@ -364,9 +375,10 @@ def test_adoption_cost_does_not_grow_with_p(monkeypatch):
     # one connected alldifferent, x_i in {i, i+1} and four values from
     # 1000..2999.  Adopting y in {0, 1, 2, 3999} matches y = 2, which x2
     # left free, and searches y and the owners of 0 and 1, x0 and x1, which
-    # see free values at once: 3 filter visits at p = 10 as at p = 400,
-    # where the seeded filter would walk all 400 variables
-    visits = {}
+    # see free values at once: 3 filter visits at p = 10 as at p = 400.  The
+    # seeded filter from y, which the rule falls back to, finds y alive and
+    # meets no dead variable: its cost does not grow with p either.
+    visits, seeded = {}, {}
     for p in (10, 400):
         rng = random.Random(3)
         store = Store()
@@ -386,8 +398,74 @@ def test_adoption_cost_does_not_grow_with_p(monkeypatch):
             assert store.propagate_fixpoint()
         store.validate()
         assert_filtered(store)
-    graph, matching = copy.deepcopy((prop.graph, prop.matching))
-    counters = OpCounters()
-    remove_edges_from_g(graph, matching, counters, seeds=[y])
-    assert counters.filter_visits > 400
+        graph, matching = copy.deepcopy((prop.graph, prop.matching))
+        counters = OpCounters()
+        assert remove_edges_from_g(graph, matching, counters, seeds=[y]) == []
+        seeded[p] = counters.filter_visits
     assert visits[10] == visits[400] == 3
+    assert seeded[10] == seeded[400]
+
+
+def alive_chain(p):
+    """x_i in {i, i+1, 1000 + i} matched x_i = i: one component, every x_i alive.
+
+    Each x_i sees its own free value 1000 + i, so the graph is filtered.
+    """
+    graph = build_value_graph((i, {i, i + 1, 1000 + i}) for i in range(p))
+    matching = Matching()
+    for i in range(p):
+        matching.match(i, i)
+    assert remove_edges_from_g(graph, matching, OpCounters()) == []
+    return graph, matching
+
+
+def test_deletion_fallback_cost_does_not_grow_with_p():
+    # cutting x5 to its matched value 5 leaves it no arc out, so it is dead,
+    # the deletion check cannot prove anything, and the seeded filter runs.
+    # It visits x5 and x4, the one other variable with an edge to 5, which
+    # is alive, so (x4, 5) goes: 2 visits at p = 10 as at p = 400, and
+    # exactly what the whole-graph filter removes
+    seeded, removed = {}, {}
+    for p in (10, 400):
+        graph, matching = alive_chain(p)
+        lost = [6, 1005]
+        assert not remove_edges(graph, matching, 5, lost, [], [])
+        counters = OpCounters()
+        assert not deletion_keeps_filtered(graph, matching, 5, lost, counters)
+        whole = copy.deepcopy((graph, matching))
+        counters = OpCounters()
+        removed[p] = remove_edges_from_g(graph, matching, counters, seeds=[5])
+        seeded[p] = counters.filter_visits
+        assert removed[p] == remove_edges_from_g(*whole, OpCounters())
+    assert removed[10] == removed[400] == [(4, 5)]
+    assert seeded[10] == seeded[400] == 2
+
+
+@pytest.mark.parametrize("change", ["deletion", "adoption", "adoption on a cycle"])
+def test_seeded_filter_past_the_recursion_limit(change):
+    # x_i in {i, i+1} over 5000 variables, matched x_i = i with 5000 free.
+    # Dropping 5000 from the last variable kills the whole chain, and
+    # adopting y in {0} shifts every x_i up and takes the last free value:
+    # either way every variable is dead and reaches the seed, so the region
+    # is the whole chain and every unmatched edge left goes.  Adopting y in
+    # {0, 5000} instead closes the chain into one cycle, walked by one
+    # Tarjan tree 5001 variables deep, and nothing goes.
+    links = 5000
+    assert links > sys.getrecursionlimit()
+    graph = build_value_graph((i, {i, i + 1}) for i in range(links))
+    matching = Matching()
+    for i in range(links):
+        matching.match(i, i)
+    if change == "deletion":
+        seed = links - 1
+        assert not remove_edges(graph, matching, seed, [links], [], [])
+    else:
+        seed = links
+        graph.add_var_vertex(seed)
+        for val in ({0} if change == "adoption" else {0, links}):
+            graph.add_edge(seed, val)
+        assert matching_covering_x(graph, matching, OpCounters(), [seed], [])
+    whole = copy.deepcopy((graph, matching))
+    expected = remove_edges_from_g(*whole, OpCounters())
+    assert remove_edges_from_g(graph, matching, OpCounters(), seeds=[seed]) == expected
+    assert len(expected) == {"deletion": links - 1, "adoption": links}.get(change, 0)
