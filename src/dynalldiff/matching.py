@@ -139,11 +139,19 @@ class OpCounters:
 
 
 class ValueGraph:
-    """Bipartite variable/value graph with both adjacency directions."""
+    """Bipartite variable/value graph with both adjacency directions.
+
+    `adj_var` maps each variable to the set of its values: the dynamic
+    paths take set differences and subset tests of it against domains.
+    `adj_val` maps each value to its variables as an insertion-ordered dict
+    `{var: None}`, which is only walked, tested and edited.  CPython's
+    cyclic garbage collector does not track a dict of ints and None, so the
+    graphs the re-post baseline keeps frozen add nothing to its passes.
+    """
 
     def __init__(self):
         self.adj_var: dict[int, set[int]] = {}
-        self.adj_val: dict[int, set[int]] = {}  # only values with an edge
+        self.adj_val: dict[int, dict[int, None]] = {}  # only values with an edge
 
     def add_var_vertex(self, var: int) -> bool:
         if var in self.adj_var:
@@ -163,14 +171,18 @@ class ValueGraph:
         if val in vals:
             return False
         vals.add(val)
-        self.adj_val.setdefault(val, set()).add(var)
+        owners = self.adj_val.get(val)
+        if owners is None:
+            self.adj_val[val] = {var: None}
+        else:
+            owners[var] = None
         return True
 
     def remove_edge(self, var: int, val: int) -> None:
         """Delete (var, val), and val's vertex with its last edge."""
         self.adj_var[var].remove(val)
         owners = self.adj_val[val]
-        owners.remove(var)
+        del owners[var]
         if not owners:
             del self.adj_val[val]
 
@@ -222,12 +234,26 @@ class Matching:
 def build_value_graph(
     variable_domains: Iterable[tuple[int, Iterable[int]]]
 ) -> ValueGraph:
-    """One variable vertex per entry, in order, with an edge per domain value."""
+    """One variable vertex per entry, in order, with an edge per domain value.
+
+    The maps are filled in place, with no call per edge, in the order that
+    `add_var_vertex` and `add_edge` called one at a time would give.
+    """
     graph = ValueGraph()
+    adj_var, adj_val = graph.adj_var, graph.adj_val
     for var, domain in variable_domains:
-        graph.add_var_vertex(var)
+        vals = adj_var.get(var)
+        if vals is None:
+            vals = adj_var[var] = set()
         for val in domain:
-            graph.add_edge(var, val)
+            if val in vals:
+                continue
+            vals.add(val)
+            owners = adj_val.get(val)
+            if owners is None:
+                adj_val[val] = {var: None}
+            else:
+                owners[var] = None
     return graph
 
 
@@ -247,11 +273,20 @@ def _augment(
     (var, previous value or None) flip is appended to `log` when one is
     given.  When the queue runs dry the reached variables have fewer
     neighbouring values than members, so no matching covers them all.
-    Each variable taken off the queue counts one augment visit.
+    Each variable taken off the queue counts one augment visit.  A source
+    with a free value of its own is matched to the first one before any
+    search state is built: the search would flip that edge first too.
     """
     adj_var = graph.adj_var
     pair_of_var = matching.pair_of_var
     pair_of_val = matching.pair_of_val
+    for val in adj_var[source]:
+        if val not in pair_of_val:
+            if log is not None:
+                log.append((source, pair_of_var.get(source)))
+            matching.match(source, val)
+            counters.augment_visits += 1
+            return True
     reached_from: dict[int, Optional[int]] = {source: None}
     queue = [source]
     visits = 0
@@ -294,7 +329,8 @@ def compute_maximum_matching(graph: ValueGraph, counters: OpCounters) -> Matchin
     adversarial was tried.
 
     Repeatable without sorting: the order in which a set of ints is walked
-    depends only on the insertions and removals that built it.
+    depends only on the insertions and removals that built it, and a dict
+    is walked in insertion order.
     """
     matching = Matching()
     for var in graph.adj_var:
@@ -521,7 +557,9 @@ def _unsupported(
     while frontier:
         val = frontier.pop()
         visits += 1
-        for var in adj_val[val] - reached_vars:
+        for var in adj_val[val]:
+            if var in reached_vars:
+                continue
             reached_vars.add(var)
             visits += 1
             matched_val = pair_of_var[var]
@@ -535,13 +573,12 @@ def _unsupported(
 
     removed: list[tuple[int, int]] = []
     for var, vals in adj_var.items():
-        rest = vals - reached_vals
-        if not rest:
-            continue
         matched = pair_of_var[var]
         own = component.get(var)  # None when var's value reaches a free one
-        for val in rest:
-            if val != matched and component[pair_of_val[val]] != own:
+        for val in vals:
+            if val in reached_vals or val == matched:
+                continue
+            if component[pair_of_val[val]] != own:
                 removed.append((var, val))
     return removed, visits
 

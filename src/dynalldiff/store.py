@@ -147,17 +147,19 @@ class _WatcherAdded:
 class _DomainsPushed:
     """Eager whole-domain copies: the re-posting baseline's duplication cost.
 
-    Undo adopts the copies as they are: the frame is popped with its undo.
+    Each copy is a tuple of the domain's values: CPython's cyclic garbage
+    collector stops tracking a tuple of ints after one pass, while it would
+    walk a set on every pass.  `undo` rebuilds the sets.
     """
 
-    def __init__(self, variables: list[int], copies: list[set[int]]):
+    def __init__(self, variables: list[int], copies: list[tuple[int, ...]]):
         self.variables = variables
         self.copies = copies
         self.cells = len(variables) + sum(len(c) for c in copies)
 
     def undo(self, store):
         for var, copy in zip(self.variables, self.copies):
-            store.domains[var] = copy
+            store.domains[var] = set(copy)
 
 
 class Store:
@@ -302,7 +304,7 @@ class Store:
 
     def snapshot_domains(self, variables: list[int]) -> None:
         """Trail eager copies of the given domains (the re-post baseline's push)."""
-        copies = [set(self.domains[v]) for v in variables]
+        copies = [tuple(self.domains[v]) for v in variables]
         self.trail_push(_DomainsPushed(list(variables), copies))
 
     # -- propagation -----------------------------------------------------------

@@ -447,3 +447,36 @@ def test_checksums_taken_once_and_outside_the_timed_window(monkeypatch):
                 timed = not timed
             else:
                 assert not timed, mode
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+@pytest.mark.parametrize(
+    "golden, source",
+    [
+        ("forced_third.csv", ["--scenario", str(SCENARIOS / "forced_third.scn")]),
+        ("late_adoption.csv", ["--scenario", str(SCENARIOS / "late_adoption.scn")]),
+        (
+            "random_seed7.csv",
+            ["--random", "--seed", "7", "--pmax", "8", "--dmax", "8", "--delrate", "0.3"],
+        ),
+    ],
+)
+def test_cli_csv_counters_match_the_golden_files(golden, source, tmp_path, capsys):
+    # each golden file is `dynalldiff-bench <source> --mode both --csv FILE`;
+    # every column but wall_ns is a counter or a verdict, and must not move
+    path = tmp_path / golden
+    assert main(source + ["--mode", "both", "--csv", str(path)]) == 0
+    capsys.readouterr()
+
+    def rows(csv_path):
+        with open(csv_path, newline="") as fh:
+            table = list(csv.DictReader(fh))
+        for row in table:
+            del row["wall_ns"]
+        return table
+
+    expected = rows(GOLDEN / golden)
+    assert expected
+    assert rows(path) == expected

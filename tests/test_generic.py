@@ -1,6 +1,8 @@
 """Generic dynamization wrapper and the monotonicity witness."""
 
+import gc
 import random
+import sys
 
 import pytest
 
@@ -8,7 +10,7 @@ from dynalldiff.alldiff import AllDifferent
 from dynalldiff.errors import DuplicateVariable, EmptyHistory, TooLarge
 from dynalldiff.generic import GenericDynamizer, check_monotonic
 from dynalldiff.oracle import all_values_distinct, enumerate_solutions
-from dynalldiff.store import Store
+from dynalldiff.store import Store, _DomainsPushed
 
 A, B, C, D = 0, 1, 2, 3
 
@@ -223,3 +225,33 @@ def test_monotonic_too_large():
             [set(range(60))] * 4,
             set(range(60)),
         )
+
+
+@pytest.mark.skipif(
+    sys.implementation.name != "cpython",
+    reason="which objects the cyclic collector tracks is CPython's rule",
+)
+def test_the_collector_tracks_no_domain_copy_and_no_value_vertex():
+    # the re-post baseline keeps a domain copy per variable and a frozen
+    # graph per level; neither holds a reference cycle, and neither is
+    # walked by the cyclic garbage collector
+    rng = random.Random(5)
+    store = Store()
+    wrapper = GenericDynamizer(store, AllDifferent)
+    for block in range(5):
+        values = range(8 * block, 8 * block + 8)
+        for _ in range(6):
+            var = store.add_variable(rng.sample(values, rng.randint(2, 4)))
+            assert wrapper.add_variable(var)
+    gc.collect()
+    copies = [
+        copy for frame in store.trail if isinstance(frame, _DomainsPushed)
+        for copy in frame.copies
+    ]
+    assert len(copies) == sum(range(1, 31))
+    assert not any(gc.is_tracked(copy) for copy in copies)
+    graphs = [handle.propagator.graph for handle in store.constraints]
+    assert len(graphs) == 30 and sum(handle.active for handle in store.constraints) == 1
+    owners = [vars_ for graph in graphs for vars_ in graph.adj_val.values()]
+    assert owners
+    assert not any(gc.is_tracked(vars_) for vars_ in owners)

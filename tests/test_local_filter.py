@@ -180,11 +180,11 @@ def _adopt_unknown_variable(store, prop):
 
 
 def _drop_transposed_edge(store, prop):
-    prop.graph.adj_val[prop.matching.pair_of_var[0]].discard(0)
+    del prop.graph.adj_val[prop.matching.pair_of_var[0]][0]
 
 
 def _keep_value_without_edges(store, prop):
-    prop.graph.adj_val[4] = set()  # no variable has 4 in its domain
+    prop.graph.adj_val[4] = {}  # no variable has 4 in its domain
 
 
 @pytest.mark.parametrize(

@@ -12,6 +12,7 @@ from dynalldiff.matching import (
     Matching,
     OpCounters,
     ValueGraph,
+    _augment,
     build_value_graph,
     compute_maximum_matching,
     graph_checksum,
@@ -50,6 +51,11 @@ def shape(graph):
     return len(graph.adj_var), len(graph.adj_val), len(graph.edges())
 
 
+def owners(graph):
+    """`adj_val` with each value's variables as a set."""
+    return {val: set(vars_) for val, vars_ in graph.adj_val.items()}
+
+
 def test_build_triple_shape():
     graph = build_value_graph(TRIPLE)
     assert shape(graph) == (3, 3, 7)
@@ -58,6 +64,39 @@ def test_build_triple_shape():
 def test_build_empty():
     graph = build_value_graph([])
     assert shape(graph) == (0, 0, 0)
+
+
+def test_build_orders_as_one_call_per_edge():
+    # build_value_graph fills the maps in place; the iteration orders, which
+    # fix the searches' order and so their counts, are those of the calls
+    rng = random.Random(11)
+    for _ in range(200):
+        entries = random_graph(rng, p_max=9, d_max=40, edge_cap=120)
+        entries.append(entries[0])  # a repeated entry adds no edge
+        built = build_value_graph(entries)
+        stepwise = ValueGraph()
+        for var, domain in entries:
+            stepwise.add_var_vertex(var)
+            for val in domain:
+                stepwise.add_edge(var, val)
+        assert list(built.adj_var) == list(stepwise.adj_var)
+        for var, vals in stepwise.adj_var.items():
+            assert list(built.adj_var[var]) == list(vals)
+        assert list(built.adj_val) == list(stepwise.adj_val)
+        for val, vars_ in stepwise.adj_val.items():
+            assert list(built.adj_val[val]) == list(vars_)
+
+
+def test_augment_takes_a_free_value_of_the_source_at_once():
+    graph = build_value_graph([(0, {A}), (1, {A, B, C})])
+    matching = Matching()
+    matching.match(0, A)
+    counters, log = OpCounters(), []
+    assert _augment(graph, matching, 1, counters, log)
+    first_free = next(val for val in graph.adj_var[1] if val != A)
+    assert log == [(1, None)]
+    assert matching.pair_of_var == {0: A, 1: first_free}
+    assert counters.augment_visits == 1
 
 
 def test_build_singleton():
@@ -367,9 +406,9 @@ def test_value_vertex_lives_with_its_edges():
     graph.remove_edge(0, A)
     assert A not in graph.adj_val
     graph.remove_edge(0, B)
-    assert graph.adj_val == {B: {1}}
+    assert owners(graph) == {B: {1}}
     graph.add_edge(0, A)
-    assert graph.adj_val == {A: {0}, B: {1}}
+    assert owners(graph) == {A: {0}, B: {1}}
 
 
 def test_remove_edges_unmatched_keeps_matching():
@@ -425,7 +464,7 @@ def test_remove_edges_refuses_before_any_change():
     with pytest.raises(UnknownEdge):
         remove_edges(graph, matching, 0, [A, B], log, flips)
     assert (graph_checksum(graph, matching), dict(matching.pair_of_val)) == before
-    assert graph.adj_val == {A: {0}, C: {0, 1}}
+    assert owners(graph) == {A: {0}, C: {0, 1}}
     assert (log, flips) == ([(1, B)], [(1, None)])
 
 
