@@ -14,6 +14,7 @@ from .errors import (
     DuplicateVariable,
     EmptyDomain,
     EmptyHistory,
+    InactiveConstraint,
     InitFailure,
     KernelError,
     LifoViolation,
@@ -64,6 +65,7 @@ __all__ = [
     "EmptyDomain",
     "EmptyHistory",
     "GenericDynamizer",
+    "InactiveConstraint",
     "InitFailure",
     "KernelError",
     "LifoViolation",

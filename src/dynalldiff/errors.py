@@ -25,6 +25,10 @@ class AlreadyInactive(KernelError):
     """deactivate_constraint on a constraint that is already inactive."""
 
 
+class InactiveConstraint(KernelError):
+    """watch_variable on a constraint that is inactive: its id is on no stack."""
+
+
 class InitFailure(KernelError):
     """A propagator's initialisation reported inconsistency at posting time."""
 

@@ -8,11 +8,13 @@ variable list.  Removing the last variable pops the wrapper's checkpoint,
 which retracts the posting, restores the domains, and reactivates the
 previous propagator as it was frozen.  The structures kept per level and the
 domain copies are the measured space cost this baseline exists to exhibit.
-The copies are tuples, which CPython's cyclic garbage collector stops
-tracking after one pass, and the frozen graphs' value-to-variable maps are
-dicts of ints it never tracks, so the levels kept do not make every later
-collection walk them; the cost model, O(p*d) cells and work per addition,
-is unchanged.
+A frozen level's id leaves the watcher stacks (it is on top of each, so
+that is a pop per variable, and the pop pushes it back), so a level costs a
+later removal no event walk.  The copies are tuples, which CPython's cyclic
+garbage collector stops tracking after one pass, and the frozen graphs'
+value-to-variable maps are dicts of ints it never tracks, so the levels kept
+do not make every later collection walk them; the cost model, O(p*d) cells
+and work per addition, is unchanged.
 """
 
 from __future__ import annotations
@@ -61,13 +63,14 @@ class GenericDynamizer:
     def add_variable(self, var: int) -> bool:
         """Extend the constraint to `var`; returns the init+fixpoint verdict."""
         self.store._check_var(var)  # before any change to the store
-        if var in self.variables:
+        extended = self.variables
+        if var in extended:
             raise DuplicateVariable(f"variable {var} already wrapped")
+        extended.append(var)
         token = self.store.push_checkpoint()
         previous = self.active_handle
         if previous is not None:
             self.store.deactivate_constraint(previous)
-        extended = self.variables + [var]
         self.store.snapshot_domains(extended)
         try:
             handle = self.store.post_constraint(self.factory(extended))

@@ -1,9 +1,10 @@
 """Finite-domain variable store with a reversible trail and event propagation.
 
 The store owns variables (dense integer ids in creation order), their
-domains (sets of dense value ids) and watcher stacks (constraint ids), posted
-constraints, and a trail of invertible frames; a checkpoint's token is its
-own frame.  push_checkpoint/pop_checkpoint give exact LIFO restoration: every
+domains (sets of dense value ids) and watcher stacks (the ids of the active
+constraints that watch each variable), posted constraints, and a trail of
+invertible frames; a checkpoint's token is its own frame.
+push_checkpoint/pop_checkpoint give exact LIFO restoration: every
 mutation between a push and its pop is undone in reverse order, including
 propagator internals, and every undo pops what its frame pushed.  A frame
 whose entries are not on top raises NonLifoPop and stays on the trail.
@@ -13,7 +14,10 @@ before the failure.  Propagation is an event queue drained by
 propagate_fixpoint: an event is a (constraint, variable) key with no values,
 queued at most once until delivered, FIFO; a propagator tells what it lost
 from its own state (`AllDifferent`: its edges minus the domain).  A pop
-restores the queue to the keys pending at its push.
+restores the queue to the keys pending at its push.  Deactivating a
+constraint takes its id off its variables' stacks, so a removal walks only
+the constraints it can wake; the key of an event queued before the
+deactivation stays queued and is skipped when it comes up.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from .errors import (
     AlreadyInactive,
     DomainWipeout,
     EmptyDomain,
+    InactiveConstraint,
     InitFailure,
     KernelError,
     NonLifoPop,
@@ -57,7 +62,8 @@ class ConstraintHandle:
     `watched_vars` is the propagator's own `variables` list, not a copy:
     adopting a variable appends to it and popping the adoption shrinks it,
     so the propagator's scope is always the live one.  An inactive handle
-    gets no events, so its propagator stays as frozen until a pop.
+    is on no watcher stack and gets no events, so its propagator stays as
+    frozen until a pop; it adopts no variable either.
     """
 
     __slots__ = ("id", "propagator", "watched_vars", "active")
@@ -112,21 +118,43 @@ class _Posted:
         handle = self.handle
         if not store.constraints or store.constraints[-1] is not handle:
             raise NonLifoPop("posting retracted out of LIFO order")
-        stacks = [store.watchers[var] for var in handle.watched_vars]
-        if not all(stack and stack[-1] == handle.id for stack in stacks):
-            raise NonLifoPop("posting's watches are not on top of their stacks")
+        cid, watchers = handle.id, store.watchers
+        for var in handle.watched_vars:
+            stack = watchers[var]
+            if not stack or stack[-1] != cid:
+                raise NonLifoPop("posting's watches are not on top of their stacks")
         store.constraints.pop()
-        for stack in stacks:
-            stack.pop()
+        for var in handle.watched_vars:
+            watchers[var].pop()
 
 
 class _Deactivated:
+    """A deactivation: the ids it took off the watcher stacks, to put back.
+
+    `positions` is None when the id was on top of every watched variable's
+    stack, and each was popped.  Otherwise it holds, for the watched
+    variables in order, where the id was in each stack changed so far, also
+    after a fault part-way.  Either way the frame adds nothing for the
+    garbage collector to walk.
+    """
+
+    __slots__ = ("handle", "cells", "positions")
+
     def __init__(self, handle: ConstraintHandle, cells: int):
         self.handle = handle
         self.cells = cells
+        self.positions: Optional[tuple[int, ...]] = None
 
     def undo(self, store):
-        self.handle.active = True
+        handle, watchers, positions = self.handle, store.watchers, self.positions
+        cid, watched = handle.id, handle.watched_vars
+        if positions is None:
+            for var in watched:
+                watchers[var].append(cid)
+        else:
+            for k in range(len(positions) - 1, -1, -1):
+                watchers[watched[k]].insert(positions[k], cid)
+        handle.active = True
 
 
 class _WatcherAdded:
@@ -155,7 +183,7 @@ class _DomainsPushed:
     def __init__(self, variables: list[int], copies: list[tuple[int, ...]]):
         self.variables = variables
         self.copies = copies
-        self.cells = len(variables) + sum(len(c) for c in copies)
+        self.cells = len(variables) + sum(map(len, copies))
 
     def undo(self, store):
         for var, copy in zip(self.variables, self.copies):
@@ -219,9 +247,10 @@ class Store:
     def remove_value(self, var: int, value: int, cause: Optional[int] = None) -> bool:
         """Delete `value` from var's domain; returns True iff anything changed.
 
-        Queues (cid, var), unless pending, for each active watcher cid but
-        `cause`, the constraint that performed the removal itself.  Raises
-        DomainWipeout and marks the branch failed when the domain empties.
+        Queues (cid, var), unless pending, for each watcher cid but `cause`,
+        the constraint that performed the removal itself; every watcher is
+        active, so no handle is read.  Raises DomainWipeout and marks the
+        branch failed when the domain empties.
         """
         self._check_var(var)
         dom = self.domains[var]
@@ -233,7 +262,7 @@ class Store:
         dom.discard(value)
         self.trail_push(_ValueRemoved(var, value))
         for cid in self.watchers[var]:
-            if cid == cause or not self.constraints[cid].active:
+            if cid == cause:
                 continue
             key = (cid, var)
             if key not in self._pending:
@@ -275,8 +304,9 @@ class Store:
         InitFailure is raised (carrying the handle).
         """
         watched = propagator.variables  # shared: see ConstraintHandle
-        for var in watched:
-            self._check_var(var)
+        if watched and not (0 <= min(watched) and max(watched) < len(self.domains)):
+            for var in watched:
+                self._check_var(var)  # names the first unknown id
         handle = ConstraintHandle(len(self.constraints), propagator, watched)
         self.constraints.append(handle)
         for var in watched:
@@ -288,16 +318,46 @@ class Store:
         return handle
 
     def deactivate_constraint(self, handle: ConstraintHandle) -> None:
-        """Stop the constraint's events and charge its kept internals to the trail."""
+        """Stop the constraint's events and charge its kept internals to the trail.
+
+        The frame goes on the trail first; then the handle's id leaves each
+        watched variable's stack.  When it is on top of every one (always,
+        in the re-post baseline) each stack is popped; otherwise it is found
+        from the top and its position logged.  A stack that lacks the id
+        raises KernelError, and the pop puts back the ids taken so far.
+        """
         if not handle.active:
             raise AlreadyInactive(f"constraint {handle.id} is already inactive")
+        frame = _Deactivated(handle, handle.propagator.frozen_cells() + 2)
+        self.trail_push(frame)
         handle.active = False
-        self.trail_push(_Deactivated(handle, handle.propagator.frozen_cells() + 2))
+        cid, watchers, watched = handle.id, self.watchers, handle.watched_vars
+        stacks = list(map(watchers.__getitem__, watched))
+        if all(stacks):
+            popped = list(map(list.pop, stacks))
+            if popped.count(cid) == len(popped):
+                return
+            for stack, top in zip(reversed(stacks), reversed(popped)):
+                stack.append(top)  # not all on top: back as they were
+        positions = []
+        try:
+            for var, stack in zip(watched, stacks):
+                pos = len(stack) - 1
+                while pos >= 0 and stack[pos] != cid:
+                    pos -= 1
+                if pos < 0:
+                    raise KernelError(f"constraint {cid} is not on {var}'s stack")
+                positions.append(pos)
+                del stack[pos]
+        finally:
+            frame.positions = tuple(positions)
 
     def watch_variable(self, cid: int, var: int) -> None:
         """Extend a constraint's watch set (used when it adopts a variable)."""
         self._check_var(var)
         handle = self.constraints[cid]
+        if not handle.active:
+            raise InactiveConstraint(f"constraint {cid} is inactive")
         self.watchers[var].append(cid)
         handle.watched_vars.append(var)
         self.trail_push(_WatcherAdded(handle, var))
@@ -354,15 +414,17 @@ class Store:
     def validate(self) -> None:
         """Raise KernelError unless the store's structures agree.
 
-        The watcher stacks and the handles' `watched_vars` must name the same
-        (variable, constraint) pairs.  On a consistent branch every active
-        propagator's own `validate(store)` must pass too.  A failed branch is
-        not checked further: a failed fixpoint drops its queued events, a
-        failed init leaves an empty graph and a failed adoption leaves its
-        variables uncovered.
+        The watcher stacks and the active handles' `watched_vars` must name
+        the same (variable, constraint) pairs.  On a consistent branch every
+        active propagator's own `validate(store)` must pass too.  A failed
+        branch is not checked further: a failed fixpoint drops its queued
+        events, a failed init leaves an empty graph and a failed adoption
+        leaves its variables uncovered.
         """
         watching = sorted((v, cid) for v, cids in enumerate(self.watchers) for cid in cids)
-        watched = sorted((v, h.id) for h in self.constraints for v in h.watched_vars)
+        watched = sorted(
+            (v, h.id) for h in self.constraints if h.active for v in h.watched_vars
+        )
         if watching != watched:
             raise KernelError("watchers and watched_vars disagree")
         if self.failed:

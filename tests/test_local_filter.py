@@ -173,6 +173,10 @@ def _drop_watcher(store, prop):
     store.watchers[1].remove(prop.handle_id)
 
 
+def _freeze_in_place(store, prop):
+    store.constraints[0].active = False  # its id stays on two stacks
+
+
 def _adopt_unknown_variable(store, prop):
     unknown = len(store.domains)  # a variable with no domain
     prop.graph.add_var_vertex(unknown)
@@ -194,6 +198,7 @@ def _keep_value_without_edges(store, prop):
         (_unmatch, "does not cover"),
         (_match_off_graph, "is not an edge"),
         (_drop_watcher, "watchers and watched_vars disagree"),
+        (_freeze_in_place, "watchers and watched_vars disagree"),
         (_adopt_unknown_variable, "differ from the watched ones"),
         (_drop_transposed_edge, "not the transpose"),
         (_keep_value_without_edges, "has no edge"),

@@ -14,6 +14,7 @@ from dynalldiff.errors import (
     AlreadyInactive,
     DomainWipeout,
     EmptyDomain,
+    InactiveConstraint,
     InitFailure,
     NonLifoPop,
     UnknownVariable,
@@ -222,6 +223,63 @@ def test_deactivate_twice_raises():
     store.deactivate_constraint(handle)
     with pytest.raises(AlreadyInactive):
         store.deactivate_constraint(handle)
+
+
+def test_an_event_queued_before_a_deactivation_waits_for_the_pop():
+    store = Store()
+    var = store.add_variable({A, B, C})
+    prop = RecordingPropagator([var])
+    handle = store.post_constraint(prop)
+    store.remove_value(var, A)  # queued while the constraint is active
+    token = store.push_checkpoint()
+    store.deactivate_constraint(handle)
+    assert store.watchers[var] == []
+    assert store.propagate_fixpoint() is True
+    assert prop.delivered == []
+    store.pop_checkpoint(token)
+    assert store.propagate_fixpoint() is True
+    assert prop.delivered == [(var, frozenset({B, C}))]
+
+
+class _Unreadable(list):
+    def __getitem__(self, index):
+        raise AssertionError("a handle was read")
+
+
+def test_remove_value_reads_no_handle():
+    store = Store()
+    var = store.add_variable({A, B, C})
+    frozen = store.post_constraint(RecordingPropagator([var]))
+    store.post_constraint(RecordingPropagator([var]))
+    store.deactivate_constraint(frozen)
+    store.constraints = _Unreadable(store.constraints)
+    store.remove_value(var, A)
+    assert list(store._event_order) == [(1, var)]
+
+
+def test_watch_variable_refuses_an_inactive_constraint():
+    store = Store()
+    x = store.add_variable({A, B})
+    y = store.add_variable({A, B})
+    handle = store.post_constraint(RecordingPropagator([x]))
+    store.deactivate_constraint(handle)
+    trail, watchers = list(store.trail), [list(w) for w in store.watchers]
+    with pytest.raises(InactiveConstraint):
+        store.watch_variable(handle.id, y)
+    assert store.trail == trail and store.watchers == watchers
+    assert handle.watched_vars == [x]
+
+
+@pytest.mark.parametrize("scope, unknown", [([0, 2, 1], 2), ([-1, 0], -1)])
+def test_post_names_the_unknown_variable_before_any_change(scope, unknown):
+    store = Store()
+    store.add_variable({A, B})
+    store.add_variable({A, B})
+    trail = list(store.trail)
+    with pytest.raises(UnknownVariable, match=f"no variable {unknown}$"):
+        store.post_constraint(RecordingPropagator(scope))
+    assert store.trail == trail and store.constraints == []
+    assert store.watchers == [[], []]
 
 
 def test_deactivate_reactivate_equals_uninterrupted():

@@ -29,6 +29,7 @@ from hypothesis.stateful import (
 
 import dynalldiff.alldiff
 from dynalldiff.alldiff import AdoptingDynamizer, AllDifferent
+from dynalldiff.errors import KernelError
 from dynalldiff.generic import GenericDynamizer
 from dynalldiff.matching import Matching, ValueGraph
 from dynalldiff.oracle import all_values_distinct, gac_filter_bruteforce
@@ -451,3 +452,54 @@ def test_a_long_interleaving_of_both_engines():
         deepest = max(deepest, len(machine.undo))
     assert min(done.values()) > 10 and done["delete"] > 200, done
     assert deepest >= 20
+
+
+def test_a_repost_chain_keeps_only_the_active_id_on_each_stack():
+    store = Store()
+    generic = GenericDynamizer(store, AllDifferent)
+    for level in range(200):
+        assert generic.add_variable(store.add_variable(range(level, level + 3)))
+    active = generic.active_handle.id
+    assert watcher_stacks(store) == [[active]] * 200
+    assert sum(handle.active for handle in store.constraints) == 1
+    for level in range(199, 0, -1):
+        generic.remove_variable()
+        store.retract_last_variable()
+        assert watcher_stacks(store) == [[generic.active_handle.id]] * level
+    store.validate()
+
+
+@pytest.mark.parametrize("scope", [[0, 1], [1, 0]], ids=["top_first", "below_first"])
+def test_a_deactivation_below_another_watch_is_undone_in_place(scope):
+    store = Store()
+    for _ in range(3):
+        store.add_variable(range(4))
+    below = store.post_constraint(AllDifferent(scope))
+    store.post_constraint(AllDifferent([1, 2]))
+    store.post_constraint(AllDifferent([1]))
+    before = watcher_stacks(store)
+    assert before == [[0], [0, 1, 2], [1]]
+    token = store.push_checkpoint()
+    store.deactivate_constraint(below)
+    assert watcher_stacks(store) == [[], [1, 2], [1]]
+    store.validate()
+    store.pop_checkpoint(token)
+    assert watcher_stacks(store) == before and below.active
+    store.validate()
+
+
+def test_a_deactivation_that_misses_a_stack_raises_and_the_pop_restores():
+    # x's stack has the id on top, y's has it below another watch, and z's
+    # lacks it: the first two are changed before the third raises
+    store = Store()
+    x, y, z = (store.add_variable(range(4)) for _ in range(3))
+    handle = store.post_constraint(AllDifferent([x, y, z]))
+    store.post_constraint(AllDifferent([y, z]))
+    store.watchers[z].remove(handle.id)  # not on the trail
+    before = watcher_stacks(store)
+    token = store.push_checkpoint()
+    with pytest.raises(KernelError, match="not on 2's stack"):
+        store.deactivate_constraint(handle)
+    assert watcher_stacks(store) == [[], [1], [1]]
+    store.pop_checkpoint(token)
+    assert watcher_stacks(store) == before and handle.active
