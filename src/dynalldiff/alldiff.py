@@ -56,13 +56,14 @@ from .store import CheckpointToken
 class Delta:
     """The trail frame of one adoption or deletion: what the graph cannot give back.
 
-    Each change is logged by the function that makes it: the variable
-    vertices an adoption adds, the removed edges (before they go) and the
+    Each change is logged by the function that makes it, before it is
+    made: the variable vertices an adoption adds, the removed edges and the
     flips (var, previous value or None), which `undo` replays backwards, a
     failed search's too.  Added edges are only counted: with the removed
     ones back, each new vertex holds just the edges its adoption added (or
-    got to before a fault), and `undo` strips them.  `close` counts cells:
-    1 per added variable vertex, 2 per added or removed edge, 3 per flip.
+    got to before a fault), and `undo` pops each vertex with them, by one
+    `ValueGraph.pop_var`.  `close` counts cells: 1 per added variable
+    vertex, 2 per added or removed edge, 3 per flip.
     """
 
     __slots__ = ("propagator", "var_vertices", "added", "flips", "removed")
@@ -88,9 +89,8 @@ class Delta:
             graph.add_edge(var, val)  # a no-op for an edge a fault left in place
         self.propagator.matching.assign(reversed(self.flips))
         for var in reversed(self.var_vertices):
-            for val in list(graph.adj_var[var]):
-                graph.remove_edge(var, val)
-            graph.pop_var_vertex(var)
+            if var in graph.adj_var:  # not when a fault came before its vertex
+                graph.pop_var(var)
 
 
 class AllDifferent:
@@ -178,12 +178,9 @@ class AllDifferent:
         store.trail_push(delta)
         try:
             for var in batch:
-                graph.add_var_vertex(var)
                 delta.var_vertices.append(var)
+                delta.added += graph.add_var(var, store.domains[var])
                 store.watch_variable(self.handle_id, var)
-                for val in store.domains[var]:
-                    graph.add_edge(var, val)
-                delta.added += len(graph.adj_var[var])
             if store.failed or not matching_covering_x(
                 graph, matching, store.counters, batch, delta.flips
             ):

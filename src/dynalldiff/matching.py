@@ -2,11 +2,12 @@
 
 The graph is bipartite: variable vertices on one side, value vertices on the
 other, with an edge (x, a) whenever value a is in x's domain at the time of
-the last synchronisation.  Variable vertices are added and popped
-explicitly, by `add_var_vertex` and `pop_var_vertex` only, and their
-insertion order is the adoption order.  A value vertex exists exactly while
-some edge reaches it: the first edge to it creates it and removing the last
-one deletes it, so the values are the union of the variables' live domains.
+the last synchronisation.  A variable vertex is added with all its edges,
+by `ValueGraph.add_var`, and popped with all of them, by `pop_var`, with no
+call per edge; their insertion order is the adoption order.  A value vertex
+exists exactly while some edge reaches it: the first edge to it creates it
+and removing the last one deletes it, so the values are the union of the
+variables' live domains.
 
 Orientation convention, fixed project wide: matched edges point value to
 variable, unmatched edges point variable to value.
@@ -153,11 +154,37 @@ class ValueGraph:
         self.adj_var: dict[int, set[int]] = {}
         self.adj_val: dict[int, dict[int, None]] = {}  # only values with an edge
 
-    def add_var_vertex(self, var: int) -> bool:
-        if var in self.adj_var:
-            return False
-        self.adj_var[var] = set()
-        return True
+    def add_var(self, var: int, values: Iterable[int]) -> int:
+        """Add var's vertex with an edge to each of `values`; the number of edges.
+
+        The edges go in one at a time, in `values` order, which fixes each
+        set's and each dict's iteration order and so the searches'.  There is
+        no call per edge, and each step leaves both maps each other's
+        transpose, so a fault part-way leaves a vertex `pop_var` removes
+        whole.  A repeated value adds no edge.  Raises KernelError, changing
+        nothing, when var has a vertex already.
+        """
+        adj_var, adj_val = self.adj_var, self.adj_val
+        if var in adj_var:
+            raise KernelError(f"variable vertex {var} exists already")
+        vals = adj_var[var] = set()
+        for val in values:
+            vals.add(val)
+            owners = adj_val.get(val)
+            if owners is None:
+                adj_val[val] = {var: None}
+            else:
+                owners[var] = None
+        return len(vals)
+
+    def pop_var(self, var: int) -> None:
+        """Remove var's vertex with its edges, and each value left without an edge."""
+        adj_val = self.adj_val
+        for val in self.adj_var.pop(var):
+            owners = adj_val[val]
+            del owners[var]
+            if not owners:
+                del adj_val[val]
 
     def has_edge(self, var: int, val: int) -> bool:
         return var in self.adj_var and val in self.adj_var[var]
@@ -185,12 +212,6 @@ class ValueGraph:
         del owners[var]
         if not owners:
             del self.adj_val[val]
-
-    def pop_var_vertex(self, var: int) -> None:
-        """Remove a variable vertex; its edges must already be gone."""
-        if self.adj_var[var]:
-            raise KernelError(f"variable vertex {var} still has edges")
-        del self.adj_var[var]
 
     def edges(self) -> list[tuple[int, int]]:
         return [(var, val) for var, vals in self.adj_var.items() for val in vals]
@@ -236,24 +257,12 @@ def build_value_graph(
 ) -> ValueGraph:
     """One variable vertex per entry, in order, with an edge per domain value.
 
-    The maps are filled in place, with no call per edge, in the order that
-    `add_var_vertex` and `add_edge` called one at a time would give.
+    Each entry is one `ValueGraph.add_var`, so a repeated variable raises
+    KernelError.
     """
     graph = ValueGraph()
-    adj_var, adj_val = graph.adj_var, graph.adj_val
     for var, domain in variable_domains:
-        vals = adj_var.get(var)
-        if vals is None:
-            vals = adj_var[var] = set()
-        for val in domain:
-            if val in vals:
-                continue
-            vals.add(val)
-            owners = adj_val.get(val)
-            if owners is None:
-                adj_val[val] = {var: None}
-            else:
-                owners[var] = None
+        graph.add_var(var, domain)
     return graph
 
 
@@ -642,7 +651,11 @@ def filter_adopted_edges(
     it found reaches one too.  A search that runs dry has walked a closed
     set with no free value: (x, b) is removed, and later searches prune at
     that set.  The search enters x through x's matched value like any other
-    variable, since x is not known to reach a free value yet.
+    variable, since x is not known to reach a free value yet.  Most owners
+    are decided by their own arcs, before any search state is built: an
+    owner is alive at its first arc to a free value or to a live variable,
+    and dead, a closed set, when every other arc leads to a dead variable.
+    That is what the search would conclude after the same single visit.
 
     When every new variable reaches a free value, the removed edges are
     exactly those `remove_edges_from_g` seeded at `new_vars` would remove
@@ -677,9 +690,25 @@ def filter_adopted_edges(
                 if start in dead:
                     removed.append((x, b))
                     continue
+                found = unknown = False
+                for val in adj_var[start]:
+                    owner = pair_of_val.get(val)
+                    if owner is None or owner in alive:
+                        found = True
+                        break
+                    if owner != start and owner not in dead:
+                        unknown = True
+                if found or not unknown:  # start's own arcs decide it
+                    visits += 1
+                    if found:
+                        alive.add(start)
+                        alive.add(x)
+                    else:  # every arc leads to a closed set: start joins them
+                        dead.add(start)
+                        removed.append((x, b))
+                    continue
                 reached_from: dict[int, Optional[int]] = {start: None}
                 frontier = [start]
-                found = False
                 while frontier and not found:
                     var = frontier.pop()
                     visits += 1

@@ -109,10 +109,8 @@ def test_criterion_02_late_adoption_reproduction():
     # variables' edges, minus what the re-filter must drop ((X4,c) and
     # (X5,d) admit no covering matching)
     expected_graph = ValueGraph()
-    for var in (0, 1, 2, 3, 4):
-        expected_graph.add_var_vertex(var)
-    for var, val in [(0, A), (0, B), (1, A), (1, B), (2, C), (3, D), (4, E)]:
-        expected_graph.add_edge(var, val)
+    for var, vals in [(0, [A, B]), (1, [A, B]), (2, [C]), (3, [D]), (4, [E])]:
+        expected_graph.add_var(var, vals)
     expected_matching = Matching()
     for var, val in [(0, A), (1, B), (2, C), (3, D), (4, E)]:
         expected_matching.match(var, val)

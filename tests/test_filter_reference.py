@@ -135,9 +135,7 @@ def check_adoption(domains, batch):
         {v: d for v, d in domains.items() if v not in batch}
     )
     for var in batch:
-        graph.add_var_vertex(var)
-        for val in sorted(domains[var]):
-            graph.add_edge(var, val)
+        graph.add_var(var, sorted(domains[var]))
     expected = supported_edges(domains_of(graph))
     if not matching_covering_x(graph, matching, OpCounters(), batch, []):
         assert expected is None

@@ -14,6 +14,7 @@ either, and a region longer than the recursion limit is filtered exactly.
 """
 
 import copy
+import math
 import random
 import statistics
 import sys
@@ -23,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dynalldiff.alldiff
-from dynalldiff.alldiff import AllDifferent
+from dynalldiff.alldiff import AdoptingDynamizer, AllDifferent
 from dynalldiff.errors import DomainWipeout, InitFailure, KernelError
 from dynalldiff.matching import (
     Matching,
@@ -179,8 +180,7 @@ def _freeze_in_place(store, prop):
 
 def _adopt_unknown_variable(store, prop):
     unknown = len(store.domains)  # a variable with no domain
-    prop.graph.add_var_vertex(unknown)
-    prop.graph.add_edge(unknown, 0)
+    prop.graph.add_var(unknown, [0])
 
 
 def _drop_transposed_edge(store, prop):
@@ -411,6 +411,93 @@ def test_adoption_cost_does_not_grow_with_p(monkeypatch):
     assert seeded[10] == seeded[400]
 
 
+F, G, H, K = range(4)  # the variables of `owners_store`
+
+
+def owners_store():
+    """f = 0 fixed, g in {1, 5}, h in {2, 3}, k in {3, 4}; 4 and 5 free.
+
+    Matched f = 0, g = 1, h = 2, k = 3.  f has only its matched edge, g sees
+    the free value 5 itself, and h reaches a free value only through k.
+    """
+    store = Store()
+    cells = [store.add_variable(dom) for dom in ({0}, {1, 5}, {2, 3}, {3, 4})]
+    prop = store.post_constraint(AllDifferent(cells)).propagator
+    assert store.propagate_fixpoint()
+    assert prop.matching.pair_of_var == {F: 0, G: 1, H: 2, K: 3}
+    return store, prop
+
+
+@pytest.mark.parametrize(
+    "domain, visits, removed",
+    [
+        # y's own visit, then one for f: its one arc is matched, so it is a
+        # closed set, and (y, 0) goes; y reaches the free value 7 itself
+        ({0, 6, 7}, 2, [(0, F)]),
+        # one for g, alive at its arc to the free value 5
+        ({1, 6}, 2, []),
+        # two for h's search: h's one other arc leads to k, not yet known,
+        # and k sees the free value 4
+        ({2, 6}, 3, []),
+        ({0, 1, 2, 6}, 5, [(0, F)]),
+    ],
+)
+def test_the_rule_decides_owners_by_their_own_arcs(
+    monkeypatch, domain, visits, removed
+):
+    store, prop = owners_store()
+    y = store.add_variable(domain)
+    with monkeypatch.context() as patch:
+        patch.setattr(dynalldiff.alldiff, "remove_edges_from_g", _no_filter)
+        before = store.counters.filter_visits
+        graph, matching = copy.deepcopy((prop.graph, prop.matching))
+        ok, delta = prop.add_variables(store, [y])
+        assert ok and store.counters.filter_visits - before == visits
+    assert prop.matching.pair_of_var[y] == 6
+    assert delta.removed == [(y, val) for val, _owner in removed]
+    # the seeded filter, on a copy of the graph adopting y without the rule
+    graph.add_var(y, domain)
+    assert matching_covering_x(graph, matching, OpCounters(), [y], [])
+    filtered = remove_edges_from_g(graph, matching, OpCounters(), seeds=[y])
+    assert filtered == delta.removed
+    assert store.propagate_fixpoint()
+    store.validate()
+    assert_filtered(store)
+
+
+def _loglog_slope(points):
+    """The least-squares slope of log(cost) against log(p)."""
+    return statistics.linear_regression(
+        [math.log(p) for p, _ in points], [math.log(cost) for _, cost in points]
+    ).slope
+
+
+def test_adoption_counters_per_add_stay_flat_up_to_p_1600():
+    # the wide family: the i-th of 1600 size-6 domains is drawn from the
+    # first 5 i values (the first from 0..5), so about 80% of the values stay
+    # free and the cost per ADD shows p alone.  Filter visits, augment visits
+    # and trailed cells per ADD, averaged over bands of 400 ADDs, must not
+    # grow with p: adoption costs O(d), where a re-post costs O(p d)
+    rng = random.Random(0)
+    store = Store()
+    grower = AdoptingDynamizer(store)
+    per_add = []  # (augment visits, filter visits, trailed cells) per ADD
+    for i in range(1, 1601):
+        var = store.add_variable(rng.sample(range(max(6, 5 * i)), 6))
+        before = store.counters.snapshot()
+        assert grower.add_variable(var)
+        per_add.append(
+            tuple(b - a for a, b in zip(before, store.counters.snapshot()))
+        )
+    bands = [per_add[start:start + 400] for start in range(0, 1600, 400)]
+    for counter in range(3):
+        points = [
+            (400 * (band + 1), statistics.fmean(add[counter] for add in adds))
+            for band, adds in enumerate(bands)
+        ]
+        assert _loglog_slope(points) < 0.1, (counter, points)
+
+
 def alive_chain(p):
     """x_i in {i, i+1, 1000 + i} matched x_i = i: one component, every x_i alive.
 
@@ -466,9 +553,7 @@ def test_seeded_filter_past_the_recursion_limit(change):
         assert not remove_edges(graph, matching, seed, [links], [], [])
     else:
         seed = links
-        graph.add_var_vertex(seed)
-        for val in ({0} if change == "adoption" else {0, links}):
-            graph.add_edge(seed, val)
+        graph.add_var(seed, {0} if change == "adoption" else {0, links})
         assert matching_covering_x(graph, matching, OpCounters(), [seed], [])
     whole = copy.deepcopy((graph, matching))
     expected = remove_edges_from_g(*whole, OpCounters())

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dynalldiff.errors import UncoveredVariable, UnknownEdge
+from dynalldiff.errors import KernelError, UncoveredVariable, UnknownEdge
 from dynalldiff.matching import (
     Matching,
     OpCounters,
@@ -66,25 +66,51 @@ def test_build_empty():
     assert shape(graph) == (0, 0, 0)
 
 
-def test_build_orders_as_one_call_per_edge():
-    # build_value_graph fills the maps in place; the iteration orders, which
-    # fix the searches' order and so their counts, are those of the calls
+def orders(graph):
+    """Every iteration order of the graph: adj_var's keys and sets, adj_val's dicts."""
+    return (
+        [(var, list(vals)) for var, vals in graph.adj_var.items()],
+        [(val, list(vars_)) for val, vars_ in graph.adj_val.items()],
+    )
+
+
+def add_stepwise(graph, var, domain):
+    """What `ValueGraph.add_var` replaces: a bare vertex, then one call per edge."""
+    graph.adj_var[var] = set()
+    for val in domain:
+        graph.add_edge(var, val)
+
+
+def pop_stepwise(graph, var):
+    """What `ValueGraph.pop_var` replaces: one call per edge, then the vertex."""
+    for val in list(graph.adj_var[var]):
+        graph.remove_edge(var, val)
+    del graph.adj_var[var]
+
+
+def test_add_and_pop_order_as_one_call_per_edge():
+    # add_var, pop_var and build_value_graph fill and empty the maps in
+    # place; the iteration orders, which fix the searches' order and so
+    # their counts, are those of the calls per edge, in domain order
     rng = random.Random(11)
     for _ in range(200):
         entries = random_graph(rng, p_max=9, d_max=40, edge_cap=120)
-        entries.append(entries[0])  # a repeated entry adds no edge
         built = build_value_graph(entries)
-        stepwise = ValueGraph()
+        added, stepwise = ValueGraph(), ValueGraph()
         for var, domain in entries:
-            stepwise.add_var_vertex(var)
-            for val in domain:
-                stepwise.add_edge(var, val)
-        assert list(built.adj_var) == list(stepwise.adj_var)
-        for var, vals in stepwise.adj_var.items():
-            assert list(built.adj_var[var]) == list(vals)
-        assert list(built.adj_val) == list(stepwise.adj_val)
-        for val, vars_ in stepwise.adj_val.items():
-            assert list(built.adj_val[val]) == list(vars_)
+            assert added.add_var(var, domain) == len(domain)
+            add_stepwise(stepwise, var, domain)
+        assert orders(built) == orders(added) == orders(stepwise)
+        # popping and re-adding deletes value vertices and makes them again
+        for var in rng.sample(sorted(stepwise.adj_var), rng.randint(1, len(entries))):
+            added.pop_var(var)
+            pop_stepwise(stepwise, var)
+            assert orders(added) == orders(stepwise)
+        for var, domain in random_graph(rng, p_max=4, d_max=40, edge_cap=60):
+            var += 100
+            added.add_var(var, domain)
+            add_stepwise(stepwise, var, domain)
+        assert orders(added) == orders(stepwise)
 
 
 def test_augment_takes_a_free_value_of_the_source_at_once():
@@ -372,19 +398,40 @@ def test_filter_uncovered_precondition():
 
 
 def add_late_adopters(graph):
-    """Variables 3 in {C, D} and 4 in {D, E}; True for each new edge."""
-    graph.add_var_vertex(3)
-    graph.add_var_vertex(4)
-    return [graph.add_edge(var, val) for var, val in [(3, C), (3, D), (4, D), (4, E)]]
+    """Variables 3 in {C, D} and 4 in {D, E}; the number of edges of each."""
+    return [graph.add_var(3, [C, D]), graph.add_var(4, [D, E])]
 
 
 def test_add_edges_late_adoption():
     graph = build_value_graph(TRIPLE)
     matching = compute_maximum_matching(graph, OpCounters())
     remove_edges_from_g(graph, matching, OpCounters())
-    assert add_late_adopters(graph) == [True] * 4
+    assert add_late_adopters(graph) == [2, 2]
     assert len(graph.adj_var) == 5
     assert len(graph.adj_val) == 5
+
+
+def test_add_var_refuses_a_vertex_that_exists():
+    graph = build_value_graph([(0, {A})])
+    with pytest.raises(KernelError):
+        graph.add_var(0, [B])
+    assert graph.adj_var == {0: {A}} and owners(graph) == {A: {0}}
+    with pytest.raises(KernelError):  # so does a repeated entry
+        build_value_graph([(0, {A}), (1, {B}), (0, {A})])
+
+
+def test_add_var_ignores_a_repeated_value():
+    graph = ValueGraph()
+    assert graph.add_var(0, [A, B, A]) == 2
+    assert orders(graph) == ([(0, [A, B])], [(A, [0]), (B, [0])])
+
+
+def test_pop_var_takes_the_values_left_without_an_edge():
+    graph = build_value_graph([(0, {A, B}), (1, {B, C}), (2, {C})])
+    graph.pop_var(1)
+    assert owners(graph) == {A: {0}, B: {0}, C: {2}}
+    graph.pop_var(0)
+    assert owners(graph) == {C: {2}} and list(graph.adj_var) == [2]
 
 
 def test_add_edges_duplicate_ignored():
@@ -394,7 +441,7 @@ def test_add_edges_duplicate_ignored():
 
 
 def test_add_edges_to_empty():
-    # only add_var_vertex makes a variable vertex: its order is the adoption order
+    # only add_var makes a variable vertex: its order is the adoption order
     graph = ValueGraph()
     with pytest.raises(KeyError):
         graph.add_edge(0, A)

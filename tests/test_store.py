@@ -569,12 +569,11 @@ from dynalldiff.matching import ValueGraph
 from dynalldiff.store import Store
 
 graph = ValueGraph()
-graph.add_var_vertex(0)
-graph.add_edge(0, 1)
+graph.add_var(0, [1])
 try:
-    graph.pop_var_vertex(0)
+    graph.add_var(0, [2])
 except KernelError:
-    print("graph refused")
+    print("graph refused", graph.adj_var, graph.adj_val)
 store = Store()
 var = store.add_variable({0, 1})
 store.watchers[var].append(0)
@@ -615,7 +614,7 @@ except NonLifoPop:
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines() == [
-        "graph refused",
+        "graph refused {0: {1}} {1: {0: None}}",
         "store refused, trail depth 1",
         "posting refused _Posted [[0, 1]]",
         "watch refused _WatcherAdded [[0], [0, 1]]",

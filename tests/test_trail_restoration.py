@@ -203,7 +203,7 @@ def delete_clash(store, prop, chain):
 
 
 MUTATION_POINTS = {
-    "add_edge": ValueGraph,
+    "add_var": ValueGraph,  # a variable vertex with all its edges
     "remove_edge": ValueGraph,
     "match": Matching,
     "assign": Matching,  # a lost matched edge unmatches its variable
@@ -211,11 +211,11 @@ MUTATION_POINTS = {
     "watch_variable": Store,
 }
 REACHED = {  # the mutation points each step calls
-    adopt: ("add_edge", "remove_edge", "match", "remove_value", "watch_variable"),
+    adopt: ("add_var", "remove_edge", "match", "remove_value", "watch_variable"),
     adopt_pruned: (
-        "add_edge", "remove_edge", "match", "remove_value", "watch_variable"
+        "add_var", "remove_edge", "match", "remove_value", "watch_variable"
     ),
-    adopt_two: ("add_edge", "match", "watch_variable"),
+    adopt_two: ("add_var", "match", "watch_variable"),
     delete: ("remove_edge", "match", "assign", "remove_value"),
     delete_clash: ("remove_edge", "match", "assign", "remove_value"),
 }
@@ -295,6 +295,62 @@ def test_pop_restores_the_store_after_a_fault_at_any_call(monkeypatch, step, poi
         fresh, fresh_prop, fresh_chain = linked_store()
         assert step(store, prop, chain)[1]() == step(fresh, fresh_prop, fresh_chain)[1]()
         assert store.checksum() == fresh.checksum(), k
+
+
+def _two_then_fault(values):
+    """`values` up to the third, where it raises: a fault inside one `add_var`."""
+    for count, val in enumerate(values):
+        if count == 2:
+            raise Fault("add_var")
+        yield val
+
+
+def graph_orders(graph):
+    return (
+        [(var, list(vals)) for var, vals in graph.adj_var.items()],
+        [(val, list(vars_)) for val, vars_ in graph.adj_val.items()],
+    )
+
+
+def test_a_fault_part_way_through_a_vertex_is_undone(monkeypatch):
+    # in the graph: the new vertex keeps the two edges made before the
+    # fault, one to a new value and one to an old one, both maps stay each
+    # other's transpose, and popping the vertex gives every order back
+    store, prop, chain = linked_store()
+    graph = prop.graph
+    before = graph_orders(graph)
+    y = len(store.domains)
+    with pytest.raises(Fault):
+        graph.add_var(y, _two_then_fault([LINKS + 9, 0, 1]))
+    assert graph.adj_var[y] == {LINKS + 9, 0}
+    edges = {(var, val) for var, vals in graph.adj_var.items() for val in vals}
+    transposed = {(var, val) for val, vars_ in graph.adj_val.items() for var in vars_}
+    assert edges == transposed
+    assert all(graph.adj_val.values())
+    graph.pop_var(y)
+    assert graph_orders(graph) == before
+    # in an adoption: the pop undoes a vertex that a fault left half-made
+    checksum, watchers = store.checksum(), watcher_stacks(store)
+    variables = len(store.domains)
+    y = store.add_variable({0, 1, LINKS, LINKS + 1})
+    token = store.push_checkpoint()
+    real = ValueGraph.add_var
+
+    def add_two_then_fault(self, var, values):
+        return real(self, var, _two_then_fault(values))
+
+    monkeypatch.setattr(ValueGraph, "add_var", add_two_then_fault)
+    with pytest.raises(Fault):
+        prop.add_variables(store, [y])
+    monkeypatch.undo()
+    assert len(prop.graph.adj_var[y]) == 2
+    store.pop_checkpoint(token)
+    store.retract_last_variable()
+    assert len(store.domains) == variables
+    assert store.checksum() == checksum
+    assert watcher_stacks(store) == watchers
+    assert graph_orders(graph) == before
+    store.validate()
 
 
 VALUES = 6
