@@ -37,7 +37,13 @@ from __future__ import annotations
 
 from typing import Iterable, Optional
 
-from .errors import DomainWipeout, DuplicateVariable, EmptyHistory, KernelError
+from .errors import (
+    DomainWipeout,
+    DuplicateVariable,
+    EmptyHistory,
+    InactiveConstraint,
+    KernelError,
+)
 from .matching import (
     Matching,
     ValueGraph,
@@ -164,8 +170,11 @@ class AllDifferent:
         store branch is marked failed and the Delta holds the graph
         additions and the flips of any search that succeeded before the
         failing one; nothing reads the matching again before the pop undoes
-        them.
+        them.  Raises InactiveConstraint, changing nothing, on a deactivated
+        constraint, and DuplicateVariable on a variable adopted already.
         """
+        if not store.constraints[self.handle_id].active:
+            raise InactiveConstraint(f"constraint {self.handle_id} is inactive")
         batch = list(new_vars)
         fresh = set()
         for var in batch:

@@ -50,13 +50,15 @@ only through dead variables: whatever reaches a live one is alive.  The
 edges into R's matched values are swept on the way, which removes those
 whose variable is alive or in another SCC, and then each seed's unmatched
 edges to dead values outside its own SCC.  Liveness and the SCCs come
-from one iterative Tarjan forest, grown from each variable the walk meets
-that is not yet known: a tree is abandoned at its first arc to a free
-value or to a live variable, and every variable still open in it reaches
-that arc, so all of them are alive; every SCC that completes reaches only
-dead ones, so it is dead.  No variable enters the forest twice, and
-nothing is kept between calls.  A part that a deletion splits off keeps
-its matching and is not walked unless it reaches x.
+from one iterative Tarjan forest (`_live_forest`, which the whole-graph
+filter uses too), grown from the seeds and then from each variable the
+walk meets that is not yet known: a tree is abandoned at its first arc to
+a free value or to a live variable, and every variable still open in it
+reaches that arc, so all of them are alive; every SCC that completes
+reaches only dead ones, so it is dead.  The trees of one forest share
+their index and stack, no variable enters the forest twice, and nothing
+is kept between calls.  A part that a deletion splits off keeps its
+matching and is not walked unless it reaches x.
 
 `matching_covering_x` extends the matching in place from the uncovered
 variables the caller names, logging each flip, and answers whether it
@@ -106,17 +108,16 @@ variable reaches no free value it changes nothing, and the caller runs
 reading of Regin's filter (AAAI 1994) and of the Dulmage-Mendelsohn
 decomposition (Canad. J. Math. 10, 1958).
 
-Reachability first.  In the whole-graph filter, the search from the free
-values runs before any strongly connected component is computed: every edge
-to a value that reaches a free value is kept without further work.  Tarjan
-then runs only over the variables whose matched value reaches no free value,
-with each value vertex merged into the variable it is matched to (x has an
-arc to y when x has an unmatched edge to y's value), and only the edges to
-values that reach no free value are swept.  Two facts make that exact: a
-vertex that reaches a free value shares no strongly connected component with
-one that does not, and every value that reaches no free value is matched, to
-a variable whose other edges also lead only to such values, so that set is
-closed under the orientation.
+Reachability first.  The whole-graph filter first searches from the free
+values, in the transposed orientation, and marks every variable it meets
+alive.  The others are dead, and closed under the orientation: a dead
+variable's unmatched edges all lead to values matched to dead variables.
+So the Tarjan forest, grown from every variable not yet known, abandons no
+tree and labels the dead variables' SCCs.  Then only the edges into the
+dead variables' matched values are swept, by the seeded filter's rule: an
+edge (z, a), with a matched to w, goes when z is not w and not in w's SCC.
+Every other edge is matched or leads to a value that reaches a free value,
+and is kept without further work.
 """
 
 from __future__ import annotations
@@ -373,44 +374,61 @@ def matching_covering_x(
     return True
 
 
-def _strong_components(
-    graph: ValueGraph, matching: Matching, variables: list[int]
-) -> dict[int, int]:
-    """Iterative Tarjan over matched variables, each value merged into its owner.
+def _live_forest(
+    graph: ValueGraph,
+    matching: Matching,
+    roots: Iterable[int],
+    alive: set[int],
+    dead: dict[int, int],
+) -> int:
+    """Grow a tree of the liveness forest from each root not yet known; the visits.
 
-    Variable x has an arc to variable y when x has an unmatched edge to y's
-    matched value: the path x -> value -> y of the oriented graph with its
-    middle vertex contracted.  Every unmatched neighbour of a listed
-    variable must be matched to a listed variable (the list is closed under
-    the orientation).  Maps each variable to the root variable of its
-    strongly connected component; a value shares its owner's component.
+    An iterative Tarjan over the matched variables, each value merged into
+    its owner (x has an arc to y when x has an unmatched edge to y's matched
+    value), from each root in neither `alive` nor `dead`, the forest's
+    results, which the caller may keep across calls.  The trees share
+    `index`, `low` and `stack`.  At the first arc to a free value or to a
+    live variable a tree is abandoned: every variable still open in it
+    reaches that arc and joins `alive`, and the stack and the work list are
+    cleared.  Each strongly connected component that completes reaches only
+    dead ones, and `dead` maps its variables to its root.  So a tree ends
+    with each variable it indexed in one of the two, and a variable it
+    meets in neither is open in it.  Returns the number of variables indexed.
     """
     adj_var = graph.adj_var
     pair_of_var = matching.pair_of_var
     pair_of_val = matching.pair_of_val
     index: dict[int, int] = {}
     low: dict[int, int] = {}
-    component: dict[int, int] = {}
     stack: list[int] = []
-    for root in variables:
-        if root in index:
+    for root in roots:
+        if root in alive or root in dead:
             continue
+        matched = pair_of_var.get(root)
+        if matched is None:
+            raise UncoveredVariable(f"variable {root} is not covered")
         index[root] = low[root] = len(index)
         stack.append(root)
-        work = [(root, pair_of_var[root], iter(adj_var[root]))]
+        work = [(root, matched, iter(adj_var[root]))]
         while work:
             var, matched, vals = work[-1]
             for val in vals:
                 if val == matched:
                     continue
-                nxt = pair_of_val[val]
+                nxt = pair_of_val.get(val)
+                if nxt is None or nxt in alive:
+                    alive.update(stack)
+                    stack.clear()
+                    work.clear()
+                    break
+                if nxt in dead:
+                    continue
                 if nxt not in index:
                     index[nxt] = low[nxt] = len(index)
                     stack.append(nxt)
                     work.append((nxt, pair_of_var[nxt], iter(adj_var[nxt])))
                     break
-                # visited but not yet in a component: still on the stack
-                if nxt not in component and index[nxt] < low[var]:
+                if index[nxt] < low[var]:  # open, so on the stack
                     low[var] = index[nxt]
             else:
                 work.pop()
@@ -421,71 +439,9 @@ def _strong_components(
                 if low[var] == index[var]:
                     while True:
                         member = stack.pop()
-                        component[member] = var
+                        dead[member] = var
                         if member == var:
                             break
-    return component
-
-
-def _live_tree(
-    graph: ValueGraph,
-    matching: Matching,
-    root: int,
-    alive: set[int],
-    dead: dict[int, int],
-) -> int:
-    """Grow one tree of the liveness forest from `root`; the variables it indexed.
-
-    An iterative Tarjan over the matched variables, each value merged into
-    its owner, as in `_strong_components`, from a variable in neither
-    `alive` nor `dead`, the forest's results, which the caller keeps across
-    the trees of one call.  At the first arc to a free value or to a live
-    variable the tree is abandoned: every variable still open in it reaches
-    that arc and joins `alive`.  Each strongly connected component that
-    completes reaches only dead ones, and `dead` maps its variables to its
-    root.  So a tree ends with each variable it indexed in one of the two,
-    and a variable it meets in neither is open in it.
-    """
-    adj_var = graph.adj_var
-    pair_of_var = matching.pair_of_var
-    pair_of_val = matching.pair_of_val
-    matched = pair_of_var.get(root)
-    if matched is None:
-        raise UncoveredVariable(f"variable {root} is not covered")
-    index = {root: 0}
-    low = {root: 0}
-    stack = [root]
-    work = [(root, matched, iter(adj_var[root]))]
-    while work:
-        var, matched, vals = work[-1]
-        for val in vals:
-            if val == matched:
-                continue
-            nxt = pair_of_val.get(val)
-            if nxt is None or nxt in alive:
-                alive.update(stack)
-                return len(index)
-            if nxt in dead:
-                continue
-            if nxt not in index:
-                index[nxt] = low[nxt] = len(index)
-                stack.append(nxt)
-                work.append((nxt, pair_of_var[nxt], iter(adj_var[nxt])))
-                break
-            if index[nxt] < low[var]:  # open, so on the stack
-                low[var] = index[nxt]
-        else:
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                if low[var] < low[parent]:
-                    low[parent] = low[var]
-            if low[var] == index[var]:
-                while True:
-                    member = stack.pop()
-                    dead[member] = var
-                    if member == var:
-                        break
     return len(index)
 
 
@@ -500,18 +456,16 @@ def _unsupported_near(
     in another strongly connected component, and a dead variable met joins
     R.  Then each seed's unmatched edges to dead values outside R and
     outside the seed's own component are removed.  Liveness and the
-    components come from `_live_tree`, grown from each variable met that is
-    not yet known; each variable it indexes counts one visit.
+    components come from `_live_forest`, grown from the seeds and then from
+    each variable met that is not yet known; each variable it indexes counts
+    one visit.
     """
     adj_var, adj_val = graph.adj_var, graph.adj_val
     pair_of_var = matching.pair_of_var
     pair_of_val = matching.pair_of_val
     alive: set[int] = set()
     dead: dict[int, int] = {}  # variable -> root of its component
-    visits = 0
-    for seed in seeds:
-        if seed not in alive and seed not in dead:
-            visits += _live_tree(graph, matching, seed, alive, dead)
+    visits = _live_forest(graph, matching, seeds, alive, dead)
     region = [seed for seed in seeds if seed in dead]
     in_region = set(region)
     removed: list[tuple[int, int]] = []
@@ -522,7 +476,7 @@ def _unsupported_near(
             if pred == var:
                 continue
             if pred not in alive and pred not in dead:
-                visits += _live_tree(graph, matching, pred, alive, dead)
+                visits += _live_forest(graph, matching, (pred,), alive, dead)
             if pred in alive:
                 removed.append((pred, val))
                 continue
@@ -539,7 +493,7 @@ def _unsupported_near(
             if val == matched or owner is None or owner in in_region:
                 continue
             if owner not in alive and owner not in dead:
-                visits += _live_tree(graph, matching, owner, alive, dead)
+                visits += _live_forest(graph, matching, (owner,), alive, dead)
             if owner in dead and dead[owner] != own:
                 removed.append((seed, val))
     return removed, visits
@@ -548,7 +502,12 @@ def _unsupported_near(
 def _unsupported(
     graph: ValueGraph, matching: Matching
 ) -> tuple[list[tuple[int, int]], int]:
-    """Every unsupported edge of the graph, and the visits it took."""
+    """Every unsupported edge of the graph, and the visits it took.
+
+    The search from the free values marks the live variables, each variable
+    and value it meets counting one visit; `_live_forest` then labels the
+    dead ones' components, one visit per variable.
+    """
     adj_var, adj_val = graph.adj_var, graph.adj_val
     pair_of_var = matching.pair_of_var
     pair_of_val = matching.pair_of_val
@@ -556,39 +515,29 @@ def _unsupported(
         if var not in pair_of_var:
             raise UncoveredVariable(f"variable {var} is not covered")
 
-    # Values that reach a free value: walk the transposed orientation
-    # (unmatched val->var, matched var->val) from the free ones.  A matched
-    # value is reached only through its owner, so no owner is met twice.
-    reached_vals = {val for val in adj_val if val not in pair_of_val}
-    reached_vars: set[int] = set()
-    frontier = list(reached_vals)
+    # The live variables: walk the transposed orientation (unmatched
+    # val->var, matched var->val) from the free values.  A matched value is
+    # reached only through its owner, so no value is met twice.
+    alive: set[int] = set()
+    frontier = [val for val in adj_val if val not in pair_of_val]
     visits = 0
     while frontier:
-        val = frontier.pop()
         visits += 1
-        for var in adj_val[val]:
-            if var in reached_vars:
-                continue
-            reached_vars.add(var)
-            visits += 1
-            matched_val = pair_of_var[var]
-            reached_vals.add(matched_val)
-            frontier.append(matched_val)
+        for var in adj_val[frontier.pop()]:
+            if var not in alive:
+                alive.add(var)
+                visits += 1
+                frontier.append(pair_of_var[var])
 
-    component = _strong_components(
-        graph, matching, [var for var in adj_var if var not in reached_vars]
-    )
-    visits += len(component)
-
+    # the dead variables are closed under the orientation: no tree is abandoned
+    dead: dict[int, int] = {}
+    visits += _live_forest(graph, matching, adj_var, alive, dead)
     removed: list[tuple[int, int]] = []
-    for var, vals in adj_var.items():
-        matched = pair_of_var[var]
-        own = component.get(var)  # None when var's value reaches a free one
-        for val in vals:
-            if val in reached_vals or val == matched:
-                continue
-            if component[pair_of_val[val]] != own:
-                removed.append((var, val))
+    for var, own in dead.items():
+        val = pair_of_var[var]
+        for pred in adj_val[val]:
+            if pred != var and dead.get(pred) != own:
+                removed.append((pred, val))
     return removed, visits
 
 
@@ -608,8 +557,8 @@ def remove_edges_from_g(
 
     Without `seeds` the whole graph is filtered, in O(m + p + d).  The
     search from the free values runs first; the strongly connected
-    components are then found only among the variables whose value does not
-    reach a free value, and only the edges to values that do not reach one
+    components are then found only among the dead variables, those whose
+    value does not reach a free value, and only the edges into their values
     are swept.  That is exact: a vertex that reaches a free value shares no
     component with one that does not, and every value that does not reach
     one is matched, to a variable of that same closed set.

@@ -5,7 +5,12 @@ import random
 import pytest
 
 from dynalldiff.alldiff import AllDifferent
-from dynalldiff.errors import DomainWipeout, DuplicateVariable, InitFailure
+from dynalldiff.errors import (
+    DomainWipeout,
+    DuplicateVariable,
+    InactiveConstraint,
+    InitFailure,
+)
 from dynalldiff.matching import graph_checksum
 from dynalldiff.oracle import all_values_distinct, gac_filter_bruteforce
 from dynalldiff.store import Store, _FailedFlag, _ValueRemoved
@@ -202,6 +207,19 @@ def test_adopt_duplicate_variable_rejected():
     prop = store.constraints[handle.id].propagator
     with pytest.raises(DuplicateVariable):
         prop.add_variables(store, [x1])
+
+
+def test_adopting_into_a_deactivated_constraint_changes_nothing():
+    store, handle, _vars = triple_store()
+    prop = handle.propagator
+    x4 = store.add_variable({C, D})
+    x5 = store.add_variable({D, E})
+    store.deactivate_constraint(handle)
+    before, trail = store.checksum(), list(store.trail)
+    with pytest.raises(InactiveConstraint):
+        prop.add_variables(store, [x4, x5])
+    assert store.checksum() == before and store.trail == trail
+    assert list(prop.graph.adj_var) == handle.watched_vars
 
 
 def test_retract_restores_checksum():

@@ -17,7 +17,8 @@ every adoption that `filter_adopted_edges` decides, it must remove exactly
 the seeded filter's edges and keep exactly the reference's.  At scale, on
 one alldifferent of about 400 variables with many Hall sets, every seeded
 filter call that a propagator makes, after an adoption or a deletion, must
-remove exactly the edges the whole-graph filter removes from a copy.
+remove exactly the edges the whole-graph filter removes from a copy, and
+keep exactly the reference's.
 """
 
 import copy
@@ -286,7 +287,9 @@ def test_seeded_filter_is_exact_on_the_hall_family(monkeypatch):
     # values free and makes many Hall sets, then 300 single-value deletions,
     # each pushed, propagated and popped.  Every seeded filter call, from a
     # failed adoption rule or a failed deletion check, must remove exactly
-    # what the whole-graph filter removes from a copy of the same graph.
+    # what the whole-graph filter removes from a copy of the same graph, and
+    # keep exactly the reference's edges: both filters grow the same Tarjan
+    # forest, and the reference shares no code with it.
     real = dynalldiff.alldiff.remove_edges_from_g
     fallbacks = Counter()  # the calling method -> seeded calls
 
@@ -295,8 +298,10 @@ def test_seeded_filter_is_exact_on_the_hall_family(monkeypatch):
             return real(graph, matching, counters)
         fallbacks[sys._getframe(1).f_code.co_name] += 1
         whole = copy.deepcopy((graph, matching))
+        expected = supported_edges(domains_of(graph))
         removed = real(graph, matching, counters, seeds=seeds, log=log)
         assert removed == real(*whole, OpCounters())
+        assert edge_set(graph) == expected
         return removed
 
     monkeypatch.setattr(dynalldiff.alldiff, "remove_edges_from_g", checked)
@@ -318,3 +323,35 @@ def test_seeded_filter_is_exact_on_the_hall_family(monkeypatch):
     store.validate()
     assert fallbacks["add_variables"] >= 50, fallbacks
     assert fallbacks["on_values_removed"] >= 100, fallbacks
+
+
+def test_seeded_trees_share_what_earlier_trees_found():
+    # x0 in {0}, x1 in {1, 2} and x2 in {5, 6}, filtered, hold 0, 1 and 5;
+    # then x3 in {0, 1, 3}, x4 in {0, 1, 4, 5} and x5 in {0, 5} are adopted
+    # at once: x3 takes 3, x4 takes 4, and x5 takes 5 once x2 moves to 6.
+    # x3's tree closes x0 (dead), then reaches the free 2 through x1, so x3
+    # and x1 are alive.  x4's tree meets x0, dead, and x1, alive, and
+    # indexes x4 alone; x5's meets x0 and closes x5.  The walk back from
+    # x5's value meets x2, whose tree meets only x5, dead, and then x4, which
+    # it must find alive already.  {x0, x5, x2} is a Hall set over
+    # {0, 5, 6}, so (x2, 5), (x4, 5) and every new edge to 0 go: 6 visits,
+    # one per variable.
+    domains = {
+        0: {0}, 1: {1, 2}, 2: {5, 6}, 3: {0, 1, 3}, 4: {0, 1, 4, 5}, 5: {0, 5}
+    }
+    batch = [3, 4, 5]
+    graph, matching = check_whole_graph(
+        {v: d for v, d in domains.items() if v not in batch}
+    )
+    for var in batch:
+        graph.add_var(var, sorted(domains[var]))
+    assert matching_covering_x(graph, matching, OpCounters(), batch, [])
+    assert matching.pair_of_var == {0: 0, 1: 1, 2: 6, 3: 3, 4: 4, 5: 5}
+    expected = supported_edges(domains_of(graph))
+    whole = copy.deepcopy((graph, matching))
+    counters = OpCounters()
+    removed = remove_edges_from_g(graph, matching, counters, seeds=batch)
+    assert removed == [(2, 5), (3, 0), (4, 0), (4, 5), (5, 0)]
+    assert counters.filter_visits == 6
+    assert removed == remove_edges_from_g(*whole, OpCounters())
+    assert edge_set(graph) == expected
