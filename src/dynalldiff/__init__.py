@@ -1,15 +1,14 @@
 """Finite-domain kernel with a dynamic alldifferent constraint.
 
-A trail-backed variable store, a bipartite value-graph matching layer, an
-alldifferent propagator that adopts and retracts variables in LIFO order,
-the two dynamization methods behind one interface (adoption in place and
-the generic deactivate-and-repost baseline), brute-force oracles, and a
-benchmark CLI comparing the two methods' operation counts.
+A trail-backed variable store, a value-graph matching layer imported from
+`dynalldiff.matching`, an alldifferent propagator that adopts and retracts
+variables in LIFO order, the two dynamization methods behind one interface
+(adoption in place and the generic deactivate-and-repost baseline),
+brute-force oracles, and a benchmark CLI comparing the methods' counts.
 """
 
 from .alldiff import AdoptingDynamizer, AllDifferent
 from .errors import (
-    AlreadyInactive,
     DomainWipeout,
     DuplicateVariable,
     EmptyDomain,
@@ -26,18 +25,8 @@ from .errors import (
     UnknownSymbol,
     UnknownVariable,
 )
-from .generic import GenericDynamizer, MonotonicityWitness, check_monotonic
-from .matching import (
-    Matching,
-    OpCounters,
-    ValueGraph,
-    build_value_graph,
-    compute_maximum_matching,
-    graph_checksum,
-    matching_covering_x,
-    remove_edges,
-    remove_edges_from_g,
-)
+from .generic import GenericDynamizer, check_monotonic
+from .matching import OpCounters
 from .oracle import (
     all_values_distinct,
     edges_in_some_max_matching,
@@ -57,7 +46,6 @@ from .store import CheckpointToken, ConstraintHandle, Store
 __all__ = [
     "AdoptingDynamizer",
     "AllDifferent",
-    "AlreadyInactive",
     "CheckpointToken",
     "ConstraintHandle",
     "DomainWipeout",
@@ -69,8 +57,6 @@ __all__ = [
     "InitFailure",
     "KernelError",
     "LifoViolation",
-    "Matching",
-    "MonotonicityWitness",
     "NonLifoPop",
     "OpCounters",
     "ParseError",
@@ -82,20 +68,13 @@ __all__ = [
     "UnknownEdge",
     "UnknownSymbol",
     "UnknownVariable",
-    "ValueGraph",
     "all_values_distinct",
-    "build_value_graph",
     "check_monotonic",
-    "compute_maximum_matching",
     "edges_in_some_max_matching",
     "enumerate_solutions",
     "format_scenario",
     "gac_filter_bruteforce",
     "generate_random_scenario",
-    "graph_checksum",
-    "matching_covering_x",
     "max_matching_bruteforce",
     "parse_scenario",
-    "remove_edges",
-    "remove_edges_from_g",
 ]

@@ -129,11 +129,12 @@ class AllDifferent:
     def on_values_removed(self, store, var: int) -> bool:
         """Deletion propagation: values were removed from var's domain.
 
-        What var lost is its edges no longer in its domain.  When var lost
-        its matched edge, the matching is first repaired from var.  Then,
-        when `deletion_keeps_filtered` finds a detour around each lost edge,
-        the graph is still filtered and the filter is not called; otherwise
-        the filter runs seeded at var, over the region that reaches it.
+        What var lost is its edges no longer in its domain (an edge this
+        propagator prunes leaves the graph before its value leaves the domain).
+        When var lost its matched edge, the matching is first repaired from
+        var.  Then, when `deletion_keeps_filtered` finds a detour around each
+        lost edge, the graph is still filtered and the filter is not called;
+        otherwise the filter runs seeded at var, over the region reaching it.
         """
         graph, matching = self.graph, self.matching
         lost = graph.adj_var[var] - store.domains[var]
@@ -171,9 +172,10 @@ class AllDifferent:
         additions and the flips of any search that succeeded before the
         failing one; nothing reads the matching again before the pop undoes
         them.  Raises InactiveConstraint, changing nothing, on a deactivated
-        constraint, and DuplicateVariable on a variable adopted already.
+        or never-posted constraint, and DuplicateVariable on a variable
+        adopted already.
         """
-        if not store.constraints[self.handle_id].active:
+        if self.handle_id is None or not store.constraints[self.handle_id].active:
             raise InactiveConstraint(f"constraint {self.handle_id} is inactive")
         batch = list(new_vars)
         fresh = set()
@@ -270,9 +272,10 @@ class AdoptingDynamizer:
     """LIFO add/remove of variables by adoption into one live AllDifferent.
 
     The twin of `GenericDynamizer`: the caller creates each variable before
-    adding it and retracts it after removing it.  The first addition posts
-    `AllDifferent([var])`, which cannot fail (a domain is never empty);
-    each later one is adopted in place.
+    adding it and retracts it after removing it; both refuse an unknown or
+    repeated variable before any change.  The first addition posts
+    `AllDifferent([var])`, which cannot fail (a domain is never empty); each
+    later one is adopted in place, and the last removal forgets it.
     """
 
     def __init__(self, store):

@@ -21,12 +21,8 @@ class NonLifoPop(KernelError):
     """pop_checkpoint was called with a token that is not the newest open one."""
 
 
-class AlreadyInactive(KernelError):
-    """deactivate_constraint on a constraint that is already inactive."""
-
-
 class InactiveConstraint(KernelError):
-    """watch_variable on a constraint that is inactive: its id is on no stack."""
+    """An operation that needs an active constraint got an inactive or unposted one."""
 
 
 class InitFailure(KernelError):
@@ -60,10 +56,8 @@ class TooLarge(KernelError):
 class ParseError(KernelError):
     """A scenario file failed validation; carries the 1-based line number."""
 
-    def __init__(self, message, line_no=None):
-        if line_no is not None:
-            message = f"line {line_no}: {message}"
-        super().__init__(message)
+    def __init__(self, message, line_no):
+        super().__init__(f"line {line_no}: {message}")
         self.line_no = line_no
 
 

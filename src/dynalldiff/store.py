@@ -27,7 +27,6 @@ from collections import deque
 from typing import Iterable, Optional
 
 from .errors import (
-    AlreadyInactive,
     DomainWipeout,
     EmptyDomain,
     InactiveConstraint,
@@ -177,7 +176,8 @@ class _DomainsPushed:
 
     Each copy is a tuple of the domain's values: CPython's cyclic garbage
     collector stops tracking a tuple of ints after one pass, while it would
-    walk a set on every pass.  `undo` rebuilds the sets.
+    walk a set on every pass.  `undo` rebuilds the sets, which later frames
+    restored already: a copying solver's O(p*d) pop (see `dynalldiff.generic`).
     """
 
     def __init__(self, variables: list[int], copies: list[tuple[int, ...]]):
@@ -327,7 +327,7 @@ class Store:
         raises KernelError, and the pop puts back the ids taken so far.
         """
         if not handle.active:
-            raise AlreadyInactive(f"constraint {handle.id} is already inactive")
+            raise InactiveConstraint(f"constraint {handle.id} is already inactive")
         frame = _Deactivated(handle, handle.propagator.frozen_cells() + 2)
         self.trail_push(frame)
         handle.active = False
@@ -353,7 +353,7 @@ class Store:
             frame.positions = tuple(positions)
 
     def watch_variable(self, cid: int, var: int) -> None:
-        """Extend a constraint's watch set (used when it adopts a variable)."""
+        """Extend an active constraint's watch set (when it adopts a variable)."""
         self._check_var(var)
         handle = self.constraints[cid]
         if not handle.active:

@@ -222,6 +222,18 @@ def test_adopting_into_a_deactivated_constraint_changes_nothing():
     assert list(prop.graph.adj_var) == handle.watched_vars
 
 
+def test_adopting_into_a_never_posted_constraint_changes_nothing():
+    store = Store()
+    a = store.add_variable({A, B})
+    b = store.add_variable({B, C})
+    prop = AllDifferent([a])
+    before, trail_len = store.checksum(), len(store.trail)
+    with pytest.raises(InactiveConstraint):
+        prop.add_variables(store, [b])
+    assert store.checksum() == before and len(store.trail) == trail_len
+    assert prop.variables == [a] and not prop.graph.adj_var
+
+
 def test_retract_restores_checksum():
     store, handle, _vars = triple_store()
     prop = store.constraints[handle.id].propagator

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from dynalldiff.alldiff import AllDifferent
 from dynalldiff.errors import (
-    AlreadyInactive,
     DomainWipeout,
     EmptyDomain,
     InactiveConstraint,
@@ -221,7 +220,7 @@ def test_deactivate_twice_raises():
     var = store.add_variable({A})
     handle = store.post_constraint(RecordingPropagator([var]))
     store.deactivate_constraint(handle)
-    with pytest.raises(AlreadyInactive):
+    with pytest.raises(InactiveConstraint):
         store.deactivate_constraint(handle)
 
 
