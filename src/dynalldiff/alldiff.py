@@ -118,9 +118,10 @@ class AllDifferent:
     def init(self, store, handle) -> bool:
         """Build the value graph, match, fail on uncovered variables, filter."""
         self.handle_id = handle.id
-        graph = build_value_graph((v, store.domains[v]) for v in self.variables)
+        variables = self.variables
+        graph = build_value_graph(zip(variables, map(store.domains.__getitem__, variables)))
         matching = compute_maximum_matching(graph, store.counters)
-        if matching.size < len(self.variables):
+        if matching.size < len(variables):
             return False
         self.graph = graph
         self.matching = matching

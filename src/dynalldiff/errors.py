@@ -18,7 +18,13 @@ class DomainWipeout(KernelError):
 
 
 class NonLifoPop(KernelError):
-    """pop_checkpoint was called with a token that is not the newest open one."""
+    """A retraction out of LIFO order; the store is left as it was.
+
+    `pop_checkpoint` raises it for a token that is not the newest open one,
+    `retract_last_variable` when the newest frame is not a variable
+    creation, and the undo of a variable creation, a posting or a watch
+    when what it would pop is not on top (its frame stays on the trail).
+    """
 
 
 class InactiveConstraint(KernelError):

@@ -21,6 +21,17 @@ snapshot that charges the cells and copies nothing gave steps_per_s +3 to
 collections land on the largest ADDs; dropping only the rebuild gave
 steps_per_s +7%, every other metric within 1%, and left the copies with no
 reader (seed 1, three alternating pairs of 8 s runs).
+
+Where a re-post ADD's time goes, on repost_blocks (seed 1, three rounds in
+one process, 1206 ADDs with p up to 402 and domains of 2 to 4 values; Intel
+Xeon, Python 3.11.7).  With the collector off, a mean ADD of 398 us splits
+into building the value graph 150 us, the filter 97 us, the maximum
+matching 53 us, the domain copies 39 us and the deactivation 25 us; the
+rest is the checkpoint, the posting and the fixpoint.  Building and
+matching make no Python call per variable vertex (see `build_value_graph`
+and `compute_maximum_matching`).  With the collector on, collections add
+about 160 us per ADD, a quarter of it, two thirds of that in gen-2
+passes, which walk the frozen graphs' `adj_var` sets.
 """
 
 from __future__ import annotations

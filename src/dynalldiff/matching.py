@@ -3,8 +3,9 @@
 The graph is bipartite: variable vertices on one side, value vertices on the
 other, with an edge (x, a) whenever value a is in x's domain at the time of
 the last synchronisation.  A variable vertex is added with all its edges,
-by `ValueGraph.add_var`, and popped with all of them, by `pop_var`, with no
-call per edge; their insertion order is the adoption order.  A value vertex
+by `ValueGraph.add_var` (or by `build_value_graph`'s own copy of its loop,
+at posting), and popped with all of them, by `pop_var`, with no call per
+edge; their insertion order is the adoption order.  A value vertex
 exists exactly while some edge reaches it: the first edge to it creates it
 and removing the last one deletes it, so the values are the union of the
 variables' live domains.
@@ -72,8 +73,13 @@ matched edge, grows by one breadth-first search per uncovered variable,
 which stops at the first free value it meets, so each path it flips is a
 shortest one.  One search each is enough (Kuhn): a variable with no
 augmenting path now gets none after another variable's augmentation, so a
-failed search proves that no matching covers X.  A one-variable repair
-whose variable sees a free value visits that variable alone.
+failed search proves that no matching covers X.  A variable that sees a
+free value of its own takes the first one, for one visit, before any
+search state is built.  At `init`, `compute_maximum_matching` makes
+that greedy step inline, variable by variable in the same order, and calls
+the search only for a variable that sees no free value (the greedy start
+of Langguth, Manne & Sanders, ACM JEA 15, 2010), so the matching and its
+visit count are those of one search per variable.
 
 A deletion of unmatched edges often needs no filter at all.  When x lost
 only unmatched arcs x -> a, `deletion_keeps_filtered` searches forward from
@@ -258,12 +264,27 @@ def build_value_graph(
 ) -> ValueGraph:
     """One variable vertex per entry, in order, with an edge per domain value.
 
-    Each entry is one `ValueGraph.add_var`, so a repeated variable raises
-    KernelError.
+    The loop is `ValueGraph.add_var`'s, inlined: the same insertions in the
+    same order, so the same iteration orders, and a repeated variable raises
+    KernelError with the vertices before it in place.  So posting, which
+    the re-post baseline runs at every addition, makes no call per vertex.
+    Adoption keeps calling `add_var`, one vertex at a time: one loop shared
+    by both cost adopt_blocks' add_ms_p50 +4.7% with `add_var` a wrapper
+    over a many-vertex loop, and +7.7% adopting through a batch call.
     """
     graph = ValueGraph()
+    adj_var, adj_val = graph.adj_var, graph.adj_val
     for var, domain in variable_domains:
-        graph.add_var(var, domain)
+        if var in adj_var:
+            raise KernelError(f"variable vertex {var} exists already")
+        vals = adj_var[var] = set()
+        for val in domain:
+            vals.add(val)
+            owners = adj_val.get(val)
+            if owners is None:
+                adj_val[val] = {var: None}
+            else:
+                owners[var] = None
     return graph
 
 
@@ -324,6 +345,13 @@ def _augment(
 def compute_maximum_matching(graph: ValueGraph, counters: OpCounters) -> Matching:
     """Maximum matching by one shortest augmenting search per variable.
 
+    Variables are taken in `adj_var` order.  One that sees a free value is
+    matched to the first one inline, as `_augment` would at its first step,
+    and counts one augment visit; only the others call `_augment`.  So the
+    matching, and the visits, are those of an `_augment` call per variable,
+    without a Python call for each variable that a greedy pass matches,
+    which on a re-post is most of them.
+
     One pass is enough (Kuhn, 1955).  When no augmenting path starts at x,
     the variables x reaches have all their values matched among
     themselves.  An augmenting path from another variable cannot enter
@@ -343,8 +371,19 @@ def compute_maximum_matching(graph: ValueGraph, counters: OpCounters) -> Matchin
     is walked in insertion order.
     """
     matching = Matching()
-    for var in graph.adj_var:
-        _augment(graph, matching, var, counters, None)
+    pair_of_var = matching.pair_of_var
+    pair_of_val = matching.pair_of_val
+    searched = 0
+    for var, vals in graph.adj_var.items():
+        for val in vals:
+            if val not in pair_of_val:  # `_augment`'s first step, inline
+                pair_of_var[var] = val
+                pair_of_val[val] = var
+                break
+        else:
+            searched += 1
+            _augment(graph, matching, var, counters, None)
+    counters.augment_visits += len(graph.adj_var) - searched
     return matching
 
 
@@ -504,16 +543,19 @@ def _unsupported(
 ) -> tuple[list[tuple[int, int]], int]:
     """Every unsupported edge of the graph, and the visits it took.
 
-    The search from the free values marks the live variables, each variable
+    Raises UncoveredVariable when the matching misses a variable, which is
+    looked for only when the matching's size differs from the graph's.  The
+    search from the free values marks the live variables, each variable
     and value it meets counting one visit; `_live_forest` then labels the
     dead ones' components, one visit per variable.
     """
     adj_var, adj_val = graph.adj_var, graph.adj_val
     pair_of_var = matching.pair_of_var
     pair_of_val = matching.pair_of_val
-    for var in adj_var:
-        if var not in pair_of_var:
-            raise UncoveredVariable(f"variable {var} is not covered")
+    if len(pair_of_var) != len(adj_var):
+        for var in adj_var:
+            if var not in pair_of_var:
+                raise UncoveredVariable(f"variable {var} is not covered")
 
     # The live variables: walk the transposed orientation (unmatched
     # val->var, matched var->val) from the free values.  A matched value is

@@ -75,6 +75,7 @@ class ConstraintHandle:
 
 
 class _VarAdded:
+    __slots__ = ("var",)
     cells = 2
 
     def __init__(self, var: int):
@@ -90,6 +91,7 @@ class _VarAdded:
 
 
 class _ValueRemoved:
+    __slots__ = ("var", "value")
     cells = 2
 
     def __init__(self, var: int, value: int):
@@ -101,6 +103,7 @@ class _ValueRemoved:
 
 
 class _FailedFlag:
+    __slots__ = ()
     cells = 1
 
     def undo(self, store):
@@ -108,6 +111,7 @@ class _FailedFlag:
 
 
 class _Posted:
+    __slots__ = ("handle",)
     cells = 2
 
     def __init__(self, handle: ConstraintHandle):
@@ -157,6 +161,7 @@ class _Deactivated:
 
 
 class _WatcherAdded:
+    __slots__ = ("handle", "var")
     cells = 2
 
     def __init__(self, handle: ConstraintHandle, var: int):
@@ -179,6 +184,8 @@ class _DomainsPushed:
     walk a set on every pass.  `undo` rebuilds the sets, which later frames
     restored already: a copying solver's O(p*d) pop (see `dynalldiff.generic`).
     """
+
+    __slots__ = ("variables", "copies", "cells")
 
     def __init__(self, variables: list[int], copies: list[tuple[int, ...]]):
         self.variables = variables

@@ -151,6 +151,45 @@ def test_maximum_matching_vs_oracle_200_random():
         assert size == max_matching_bruteforce(graph.edges())
 
 
+def reference_matching(graph):
+    """What `compute_maximum_matching` replaces: one `_augment` call per variable."""
+    matching, counters = Matching(), OpCounters()
+    for var in graph.adj_var:
+        _augment(graph, matching, var, counters, None)
+    return matching, counters.augment_visits
+
+
+def block_graph(rng, blocks, size=6, values=8):
+    """Blocks of `size` variables, each with 2 to 4 of its block's `values` values."""
+    entries = []
+    for block in range(blocks):
+        span = range(block * values, (block + 1) * values)
+        for _ in range(size):
+            entries.append((len(entries), sorted(rng.sample(span, rng.randint(2, 4)))))
+    return entries
+
+
+def test_maximum_matching_as_one_augment_per_variable():
+    # the inline greedy step leaves the pairs, their order and the visits
+    # as they were with an `_augment` call for every variable
+    rng = random.Random(23)
+    inputs = [random_graph(rng, p_max=12, d_max=12, edge_cap=60) for _ in range(200)]
+    inputs += [block_graph(rng, rng.randint(1, 12)) for _ in range(50)]
+    # four variables over three values, among others: no matching covers them
+    inputs.append([(0, [A, B]), (1, [B, C]), (2, [A, C]), (3, [A, B, C]), (4, [D])])
+    uncovered = 0
+    for entries in inputs:
+        graph = build_value_graph(entries)
+        expected, expected_visits = reference_matching(graph)
+        counters = OpCounters()
+        matching = compute_maximum_matching(graph, counters)
+        assert list(matching.pair_of_var.items()) == list(expected.pair_of_var.items())
+        assert matching.pair_of_val == expected.pair_of_val
+        assert counters.augment_visits == expected_visits
+        uncovered += matching.size < len(entries)
+    assert uncovered > 0
+
+
 def test_matching_validity_invariant():
     rng = random.Random(11)
     for _ in range(100):
