@@ -138,7 +138,7 @@ class AllDifferent:
         otherwise the filter runs seeded at var, over the region reaching it.
         """
         graph, matching = self.graph, self.matching
-        lost = graph.adj_var[var] - store.domains[var]
+        lost = {*graph.adj_var[var]} - store.domains[var]
         if not lost:
             return True
         delta = Delta(self)
@@ -258,7 +258,7 @@ class AllDifferent:
             if not vars_:
                 raise KernelError(f"value vertex {val} has no edge")
         for var, vals in graph.adj_var.items():
-            if not vals <= store.domains[var]:
+            if not vals.keys() <= store.domains[var]:
                 raise KernelError(f"edges of variable {var} outside its domain")
         if len(matching.pair_of_val) != matching.size:
             raise KernelError("matching maps are not inverse")

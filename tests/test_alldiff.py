@@ -112,7 +112,7 @@ def test_repair_with_a_free_value_at_hand_searches_one_variable(p):
     matching = prop.matching
     free = set(prop.graph.adj_val) - set(matching.pair_of_val)
     var = next(
-        v for v in prop.graph.adj_var if prop.graph.adj_var[v] & free
+        v for v in prop.graph.adj_var if prop.graph.adj_var[v].keys() & free
     )
     before = store.counters.augment_visits
     assert store.remove_value(var, matching.pair_of_var[var])
@@ -179,7 +179,7 @@ def test_adopt_locality_new_edges_touch_only_new_vars():
     x5 = store.add_variable({D, E})
     _ok, delta = prop.add_variables(store, [x4, x5])
     assert list(prop.graph.adj_var) == [*old, x4, x5]
-    assert {var: prop.graph.adj_var[var] for var in old} == before
+    assert {var: set(prop.graph.adj_var[var]) for var in old} == before
     assert delta.added == 4  # counted, not stored: the graph holds the edges
 
 
@@ -504,4 +504,4 @@ def test_graph_never_claims_unsupported_edges():
     store.remove_value(x1, A)
     store.propagate_fixpoint()
     for var, vals in prop.graph.adj_var.items():
-        assert vals <= store.domain(var)
+        assert vals.keys() <= store.domain(var)

@@ -220,7 +220,9 @@ def test_monotonic_too_large():
 def test_the_collector_tracks_no_domain_copy_and_no_value_vertex():
     # the re-post baseline keeps a domain copy per variable and a frozen
     # graph per level; neither holds a reference cycle, and neither is
-    # walked by the cyclic garbage collector
+    # walked by the cyclic garbage collector: not the copies, not a value's
+    # variables and not a variable's values, in a frozen graph or in the
+    # active one, whose edges a deletion took and its pop gave back
     rng = random.Random(5)
     store = Store()
     wrapper = GenericDynamizer(store, AllDifferent)
@@ -229,6 +231,13 @@ def test_the_collector_tracks_no_domain_copy_and_no_value_vertex():
         for _ in range(6):
             var = store.add_variable(rng.sample(values, rng.randint(2, 4)))
             assert wrapper.add_variable(var)
+    active = wrapper.active_handle.propagator.graph
+    wide = [var for var in wrapper.variables if len(store.domain(var)) > 1]
+    for var in rng.sample(wide, 10):
+        token = store.push_checkpoint()
+        assert store.remove_value(var, min(store.domain(var)))
+        store.propagate_fixpoint()
+        store.pop_checkpoint(token)
     gc.collect()
     copies = [
         copy for frame in store.trail if isinstance(frame, _DomainsPushed)
@@ -241,3 +250,6 @@ def test_the_collector_tracks_no_domain_copy_and_no_value_vertex():
     owners = [vars_ for graph in graphs for vars_ in graph.adj_val.values()]
     assert owners
     assert not any(gc.is_tracked(vars_) for vars_ in owners)
+    edges = [vals for graph in graphs for vals in graph.adj_var.values()]
+    assert len(edges) == sum(range(1, 31)) and len(active.adj_var) == 30
+    assert not any(gc.is_tracked(vals) for vals in edges)

@@ -377,30 +377,36 @@ def _no_filter(*args, **kwargs):
 
 
 def test_adoption_cost_does_not_grow_with_p(monkeypatch):
-    # one connected alldifferent, x_i in {i, i+1} and four values from
-    # 1000..2999.  Adopting y in {0, 1, 2, 3999} matches y = 2, which x2
-    # left free, and searches y and the owners of 0 and 1, x0 and x1, which
-    # see free values at once: 3 filter visits at p = 10 as at p = 400.  The
-    # seeded filter from y, which the rule falls back to, finds y alive and
-    # meets no dead variable: its cost does not grow with p either.
+    # one connected alldifferent: x_i has three values of its own, 3i to
+    # 3i + 2, and from x2 on also the values x_{i-1} and x_{i-2} are matched
+    # to.  So each x_i takes a value of its own, and the arcs that join the
+    # graph lead back from later variables, none out of x0 or x1 but to
+    # their own free values.  Adopting y in {the values x0 and x1 are matched
+    # to, 3p} matches y = 3p, its one free value, and searches y and the
+    # owners of its other values, x0 and x1, which see free values at once,
+    # whatever order their values are listed in: 3 filter visits at p = 10
+    # as at p = 400.  The seeded filter from y, which the rule falls back to,
+    # finds y, x0 and x1 alive at their first arcs and meets no dead
+    # variable: its cost does not grow with p either, where a walk over y's
+    # component would take p + 1 visits.
     visits, seeded = {}, {}
     for p in (10, 400):
-        rng = random.Random(3)
         store = Store()
-        xs = [
-            store.add_variable({i, i + 1, *rng.sample(range(1000, 3000), 4)})
-            for i in range(p)
-        ]
-        prop = store.post_constraint(AllDifferent(xs[:1])).propagator
-        for x in xs[1:]:
-            assert prop.add_variables(store, [x])[0] and store.propagate_fixpoint()
-        y = store.add_variable({0, 1, 2, 3999})
+        xs = [store.add_variable({0, 1, 2})]
+        prop = store.post_constraint(AllDifferent(xs)).propagator
+        pair = prop.matching.pair_of_var
+        for i in range(1, p):
+            links = {pair[x] for x in xs[-2:]} if i >= 2 else set()
+            xs.append(store.add_variable({3 * i, 3 * i + 1, 3 * i + 2, *links}))
+            assert prop.add_variables(store, xs[-1:])[0] and store.propagate_fixpoint()
+        y = store.add_variable({pair[xs[0]], pair[xs[1]], 3 * p})
         with monkeypatch.context() as patch:
             patch.setattr(dynalldiff.alldiff, "remove_edges_from_g", _no_filter)
             before = store.counters.filter_visits
             assert prop.add_variables(store, [y])[0]
             visits[p] = store.counters.filter_visits - before
             assert store.propagate_fixpoint()
+        assert pair[y] == 3 * p
         store.validate()
         assert_filtered(store)
         graph, matching = copy.deepcopy((prop.graph, prop.matching))
@@ -408,7 +414,7 @@ def test_adoption_cost_does_not_grow_with_p(monkeypatch):
         assert remove_edges_from_g(graph, matching, counters, seeds=[y]) == []
         seeded[p] = counters.filter_visits
     assert visits[10] == visits[400] == 3
-    assert seeded[10] == seeded[400]
+    assert seeded[10] == seeded[400] == 3
 
 
 F, G, H, K = range(4)  # the variables of `owners_store`

@@ -76,7 +76,7 @@ def orders(graph):
 
 def add_stepwise(graph, var, domain):
     """What `ValueGraph.add_var` replaces: a bare vertex, then one call per edge."""
-    graph.adj_var[var] = set()
+    graph.adj_var[var] = {}
     for val in domain:
         graph.add_edge(var, val)
 
@@ -454,7 +454,7 @@ def test_add_var_refuses_a_vertex_that_exists():
     graph = build_value_graph([(0, {A})])
     with pytest.raises(KernelError):
         graph.add_var(0, [B])
-    assert graph.adj_var == {0: {A}} and owners(graph) == {A: {0}}
+    assert graph.adj_var == {0: {A: None}} and owners(graph) == {A: {0}}
     with pytest.raises(KernelError):  # so does a repeated entry
         build_value_graph([(0, {A}), (1, {B}), (0, {A})])
 

@@ -613,7 +613,7 @@ except NonLifoPop:
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines() == [
-        "graph refused {0: {1}} {1: {0: None}}",
+        "graph refused {0: {1: None}} {1: {0: None}}",
         "store refused, trail depth 1",
         "posting refused _Posted [[0, 1]]",
         "watch refused _WatcherAdded [[0], [0, 1]]",

@@ -322,7 +322,7 @@ def test_a_fault_part_way_through_a_vertex_is_undone(monkeypatch):
     y = len(store.domains)
     with pytest.raises(Fault):
         graph.add_var(y, _two_then_fault([LINKS + 9, 0, 1]))
-    assert graph.adj_var[y] == {LINKS + 9, 0}
+    assert list(graph.adj_var[y]) == [LINKS + 9, 0]
     edges = {(var, val) for var, vals in graph.adj_var.items() for val in vals}
     transposed = {(var, val) for val, vars_ in graph.adj_val.items() for var in vars_}
     assert edges == transposed

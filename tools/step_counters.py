@@ -9,12 +9,15 @@ round each, through `perfbench/replay.py`'s `Recorder`.  Each line gives
 the number of steps and a SHA-256 digest of every step's kind, verdict,
 domains digest and counter deltas (augment visits, filter visits, trailed
 cells), of the round's trail peak and of its failures.  A second digest
-covers the same fields with the filter visits left out.  Step times are
-not part of either.  Two checkouts that print the same lines behave the
-same at every step, so a change that must keep the counters exact is
-checked by running this in the change's checkout and in its parent's and
-comparing the output; a change that may only move filter visits (a
-cheaper check with the same verdicts) compares the second digests.
+covers the same fields with the filter visits left out, and a third with
+all three counters left out.  Step times are not part of any.  Two
+checkouts that print the same lines behave the same at every step, so a
+change that must keep the counters exact is checked by running this in
+the change's checkout and in its parent's and comparing the output; a
+change that may only move filter visits (a cheaper check with the same
+verdicts) compares the second digests, and one that may move any
+order-dependent count (a new iteration order) but must keep every verdict
+and every domain compares the third.
 `tools/step_counters.expected` holds the output at the current commit,
 and CI compares the two.  It only reads the benchmark's code and writes
 no file.
@@ -49,9 +52,10 @@ def summary(name: str, seed: int) -> str:
     rec = Recorder()
     WORKLOADS[name](seed, rec)
     unfiltered = [(augment, cells) for augment, _filter, cells in rec.counts]
+    uncounted = [()] * len(rec.counts)
     return (
         f"{name} seed {seed}: {len(rec.outcomes)} steps, "
-        f"{digest(rec.counts, rec)}, {digest(unfiltered, rec)}"
+        f"{digest(rec.counts, rec)}, {digest(unfiltered, rec)}, {digest(uncounted, rec)}"
     )
 
 
