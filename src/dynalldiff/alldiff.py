@@ -45,7 +45,6 @@ from .errors import (
     KernelError,
 )
 from .matching import (
-    Matching,
     ValueGraph,
     build_value_graph,
     compute_maximum_matching,
@@ -62,21 +61,23 @@ from .store import CheckpointToken
 class Delta:
     """The trail frame of one adoption or deletion: what the graph cannot give back.
 
-    Each change is logged by the function that makes it, before it is
-    made: the variable vertices an adoption adds, the removed edges and the
-    flips (var, previous value or None), which `undo` replays backwards, a
-    failed search's too.  Added edges are only counted: with the removed
-    ones back, each new vertex holds just the edges its adoption added (or
-    got to before a fault), and `undo` pops each vertex with them, by one
-    `ValueGraph.pop_var`.  `close` counts cells: 1 per added variable
-    vertex, 2 per added or removed edge, 3 per flip.
+    It keeps the propagator's graph, which holds the matching and is the
+    same object from a successful `init` on.  Each change is logged by the
+    function that makes it, before it is made: the variable vertices an
+    adoption adds, the removed edges and the flips (var, previous value or
+    None), which `undo` replays backwards, a failed search's too.  Added
+    edges are only counted: with the removed ones back, each new vertex
+    holds just the edges its adoption added (or got to before a fault), and
+    `undo` pops each vertex with them, by one `ValueGraph.pop_var`.  `close`
+    counts cells: 1 per added variable vertex, 2 per added or removed edge,
+    3 per flip.
     """
 
-    __slots__ = ("propagator", "var_vertices", "added", "flips", "removed")
+    __slots__ = ("graph", "var_vertices", "added", "flips", "removed")
     cells = 2
 
-    def __init__(self, propagator: AllDifferent):
-        self.propagator = propagator
+    def __init__(self, graph: ValueGraph):
+        self.graph = graph
         self.var_vertices: list[int] = []
         self.added = 0
         self.flips: list[tuple[int, Optional[int]]] = []
@@ -90,10 +91,10 @@ class Delta:
         )
 
     def undo(self, store) -> None:
-        graph = self.propagator.graph
+        graph = self.graph
         for var, val in self.removed:
             graph.add_edge(var, val)  # a no-op for an edge a fault left in place
-        self.propagator.matching.assign(reversed(self.flips))
+        graph.assign(reversed(self.flips))
         for var in reversed(self.var_vertices):
             if var in graph.adj_var:  # not when a fault came before its vertex
                 graph.pop_var(var)
@@ -109,8 +110,7 @@ class AllDifferent:
             raise ValueError("alldifferent needs at least one variable")
         if len(set(self.variables)) != len(self.variables):
             raise DuplicateVariable("repeated variable in alldifferent")
-        self.graph = ValueGraph()
-        self.matching = Matching()
+        self.graph = ValueGraph()  # a failed `init` leaves this empty one
         self.handle_id: Optional[int] = None
 
     # -- store protocol ----------------------------------------------------
@@ -120,12 +120,11 @@ class AllDifferent:
         self.handle_id = handle.id
         variables = self.variables
         graph = build_value_graph(zip(variables, map(store.domains.__getitem__, variables)))
-        matching = compute_maximum_matching(graph, store.counters)
-        if matching.size < len(variables):
+        compute_maximum_matching(graph, store.counters)
+        if len(graph.pair_of_var) < len(variables):
             return False
         self.graph = graph
-        self.matching = matching
-        return self._prune(store, remove_edges_from_g(graph, matching, store.counters))
+        return self._prune(store, remove_edges_from_g(graph, store.counters))
 
     def on_values_removed(self, store, var: int) -> bool:
         """Deletion propagation: values were removed from var's domain.
@@ -137,23 +136,23 @@ class AllDifferent:
         lost edge, the graph is still filtered and the filter is not called;
         otherwise the filter runs seeded at var, over the region reaching it.
         """
-        graph, matching = self.graph, self.matching
+        graph = self.graph
         lost = {*graph.adj_var[var]} - store.domains[var]
         if not lost:
             return True
-        delta = Delta(self)
+        delta = Delta(graph)
         store.trail_push(delta)
         try:
             flips = delta.flips
-            if remove_edges(graph, matching, var, lost, delta.removed, flips) and not (
-                matching_covering_x(graph, matching, store.counters, [var], flips)
+            if remove_edges(graph, var, lost, delta.removed, flips) and not (
+                matching_covering_x(graph, store.counters, [var], flips)
             ):
                 return False
             # after a repair every lost edge is unmatched too (see the check)
-            if deletion_keeps_filtered(graph, matching, var, lost, store.counters):
+            if deletion_keeps_filtered(graph, var, lost, store.counters):
                 return True
             filtered = remove_edges_from_g(
-                graph, matching, store.counters, seeds=[var], log=delta.removed
+                graph, store.counters, seeds=[var], log=delta.removed
             )
         finally:
             delta.close(store.counters)
@@ -185,8 +184,8 @@ class AllDifferent:
             if var in fresh or var in self.graph.adj_var:
                 raise DuplicateVariable(f"variable {var} already adopted")
             fresh.add(var)
-        graph, matching = self.graph, self.matching
-        delta = Delta(self)
+        graph = self.graph
+        delta = Delta(graph)
         store.trail_push(delta)
         try:
             for var in batch:
@@ -194,16 +193,14 @@ class AllDifferent:
                 delta.added += graph.add_var(var, store.domains[var])
                 store.watch_variable(self.handle_id, var)
             if store.failed or not matching_covering_x(
-                graph, matching, store.counters, batch, delta.flips
+                graph, store.counters, batch, delta.flips
             ):
                 store._fail()
                 return False, delta
-            filtered = filter_adopted_edges(
-                graph, matching, store.counters, batch, delta.removed
-            )
+            filtered = filter_adopted_edges(graph, store.counters, batch, delta.removed)
             if filtered is None:  # a new variable is in a Hall set
                 filtered = remove_edges_from_g(
-                    graph, matching, store.counters, seeds=batch, log=delta.removed
+                    graph, store.counters, seeds=batch, log=delta.removed
                 )
         finally:
             delta.close(store.counters)
@@ -230,11 +227,11 @@ class AllDifferent:
         """
         adj_var, d = self.graph.adj_var, len(self.graph.adj_val)
         m = sum(map(len, adj_var.values()))
-        return 2 * m + 2 * len(adj_var) + d + 2 * self.matching.size
+        return 2 * m + 2 * len(adj_var) + d + 2 * len(self.graph.pair_of_var)
 
     def state_digest(self) -> str:
         order = tuple(self.graph.adj_var)  # the variables in adoption order
-        return graph_checksum(self.graph, self.matching) + f":{order}"
+        return graph_checksum(self.graph) + f":{order}"
 
     def validate(self, store) -> None:
         """Raise KernelError unless graph, matching and store agree.
@@ -245,7 +242,7 @@ class AllDifferent:
         maps are inverse, use graph edges only and cover every variable
         vertex.
         """
-        graph, matching = self.graph, self.matching
+        graph = self.graph
         if set(graph.adj_var) != set(store.constraints[self.handle_id].watched_vars):
             raise KernelError("graph variables differ from the watched ones")
         edges = {(var, val) for var, vals in graph.adj_var.items() for val in vals}
@@ -260,12 +257,13 @@ class AllDifferent:
         for var, vals in graph.adj_var.items():
             if not vals.keys() <= store.domains[var]:
                 raise KernelError(f"edges of variable {var} outside its domain")
-        if len(matching.pair_of_val) != matching.size:
+        pair_of_var, pair_of_val = graph.pair_of_var, graph.pair_of_val
+        if len(pair_of_val) != len(pair_of_var):
             raise KernelError("matching maps are not inverse")
-        for var, val in matching.pair_of_var.items():
-            if matching.pair_of_val.get(val) != var or not graph.has_edge(var, val):
+        for var, val in pair_of_var.items():
+            if pair_of_val.get(val) != var or not graph.has_edge(var, val):
                 raise KernelError(f"matched pair ({var}, {val}) is not an edge")
-        if not matching.covers(graph.adj_var):
+        if pair_of_var.keys() != graph.adj_var.keys():
             raise KernelError("matching does not cover the variables")
 
 

@@ -9,12 +9,11 @@ propagator over the extended variable list.  Removing the last variable
 pops the wrapper's checkpoint, which retracts the posting, rebuilds the
 domains from the copies, and reactivates the previous propagator as it was
 frozen.  The kept structures and the copies are the space cost this
-baseline exists to exhibit.  The copies are tuples and the frozen graphs'
-adjacency maps dicts of ints and None, which CPython's cyclic collector
-stops tracking or never tracks, so later collections do not walk them: a
-graph adds only its two outer maps.  With 402 frozen levels, the objects
-the collector tracks fell from 101 827 to 20 824 when the variable-to-value
-maps went from sets to dicts.
+baseline exists to exhibit.  The copies are tuples, and a frozen graph's
+inner maps hold only ints, or ints and None: each vertex's edges and the
+matching's two pairings.  CPython's cyclic collector stops tracking or
+never tracks such objects, so later collections do not walk them, and a
+frozen graph adds only itself and its two outer adjacency maps.
 
 The baseline models a copying solver, O(p*d) work at the push and at the
 pop, so the copies and the rebuild both stay, although the value trail
@@ -34,8 +33,7 @@ the maximum matching 54 us, the domain copies 36 us and the deactivation
 and matching make no Python call per variable vertex (see
 `build_value_graph` and `compute_maximum_matching`).  With the collector
 on, timed by `gc.callbacks`, collections take 21 to 29 ms of a round of
-about 600 ms, 9 to 14 ms of it inside ADDs (23 to 34 us per ADD), against
-60 to 70 ms per round when each frozen graph kept a set per variable.
+about 600 ms, 9 to 14 ms of it inside ADDs (23 to 34 us per ADD).
 """
 
 from __future__ import annotations

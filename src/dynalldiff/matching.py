@@ -11,7 +11,9 @@ and removing the last one deletes it, so the values are the union of the
 variables' live domains.
 
 Orientation convention, fixed project wide: matched edges point value to
-variable, unmatched edges point variable to value.
+variable, unmatched edges point variable to value.  The graph keeps its
+matching (`ValueGraph.pair_of_var` and `pair_of_val`), so a `ValueGraph` is
+the oriented graph, and no function here takes a matching beside it.
 
 Local cost.  A graph is *filtered* when every edge lies on some matching
 that covers X.  Under such a matching, call a variable *alive* when it
@@ -147,20 +149,24 @@ class OpCounters:
 
 
 class ValueGraph:
-    """Bipartite variable/value graph with both adjacency directions.
+    """Bipartite variable/value graph, both adjacency directions and its matching.
 
     `adj_var` maps each variable to its values, and `adj_val` each value to
     its variables, both as insertion-ordered dicts `{key: None}`, which are
     only walked, tested and edited; a caller that needs set algebra against
-    a domain copies the keys.  CPython's cyclic garbage collector does not
-    track a dict of ints and None, so no vertex's edges are walked by its
-    passes, and the graphs the re-post baseline keeps frozen add only their
-    two outer maps to them.
+    a domain copies the keys.  `pair_of_var` and `pair_of_val` are the
+    matching, each the other's inverse; with the edges they give the
+    oriented graph the filters walk.  CPython's cyclic garbage collector
+    does not track a dict of ints, or of ints and None, so no vertex's
+    edges and neither pairing is walked by its passes: a graph the re-post
+    baseline keeps frozen adds only itself and its two outer maps to them.
     """
 
     def __init__(self):
         self.adj_var: dict[int, dict[int, None]] = {}
         self.adj_val: dict[int, dict[int, None]] = {}  # only values with an edge
+        self.pair_of_var: dict[int, int] = {}
+        self.pair_of_val: dict[int, int] = {}
 
     def add_var(self, var: int, values: Iterable[int]) -> int:
         """Add var's vertex with an edge to each of `values`; the number of edges.
@@ -224,18 +230,6 @@ class ValueGraph:
     def edges(self) -> list[tuple[int, int]]:
         return [(var, val) for var, vals in self.adj_var.items() for val in vals]
 
-
-class Matching:
-    """Mutually inverse variable->value and value->variable pairings."""
-
-    def __init__(self):
-        self.pair_of_var: dict[int, int] = {}
-        self.pair_of_val: dict[int, int] = {}
-
-    @property
-    def size(self) -> int:
-        return len(self.pair_of_var)
-
     def match(self, var: int, val: int) -> None:
         self.pair_of_var[var] = val
         self.pair_of_val[val] = var
@@ -255,9 +249,6 @@ class Matching:
                 del self.pair_of_val[current]
             if val is not None:
                 self.match(var, val)
-
-    def covers(self, variables: Iterable[int]) -> bool:
-        return all(var in self.pair_of_var for var in variables)
 
 
 def build_value_graph(
@@ -293,7 +284,6 @@ def build_value_graph(
 
 def _augment(
     graph: ValueGraph,
-    matching: Matching,
     source: int,
     counters: OpCounters,
     log: Optional[list[tuple[int, Optional[int]]]],
@@ -312,13 +302,13 @@ def _augment(
     search state is built: the search would flip that edge first too.
     """
     adj_var = graph.adj_var
-    pair_of_var = matching.pair_of_var
-    pair_of_val = matching.pair_of_val
+    pair_of_var = graph.pair_of_var
+    pair_of_val = graph.pair_of_val
     for val in adj_var[source]:
         if val not in pair_of_val:
             if log is not None:
                 log.append((source, pair_of_var.get(source)))
-            matching.match(source, val)
+            graph.match(source, val)
             counters.augment_visits += 1
             return True
     reached_from: dict[int, Optional[int]] = {source: None}
@@ -334,7 +324,7 @@ def _augment(
                         taken = pair_of_var.get(var)
                         if log is not None:
                             log.append((var, taken))
-                        matching.match(var, val)
+                        graph.match(var, val)
                         var, val = reached_from[var], taken
                     return True
                 if owner not in reached_from:
@@ -345,15 +335,17 @@ def _augment(
         counters.augment_visits += visits
 
 
-def compute_maximum_matching(graph: ValueGraph, counters: OpCounters) -> Matching:
-    """Maximum matching by one shortest augmenting search per variable.
+def compute_maximum_matching(graph: ValueGraph, counters: OpCounters) -> None:
+    """Fill in a maximum matching, by one shortest augmenting search per variable.
 
-    Variables are taken in `adj_var` order.  One that sees a free value is
-    matched to the first one inline, as `_augment` would at its first step,
-    and counts one augment visit; only the others call `_augment`.  So the
-    matching, and the visits, are those of an `_augment` call per variable,
-    without a Python call for each variable that a greedy pass matches,
-    which on a re-post is most of them.
+    Call it on a graph with no pair yet, as `build_value_graph` returns it;
+    the matching's size is then `len(graph.pair_of_var)`.  Variables are
+    taken in `adj_var` order.  One that sees a free value is matched to the
+    first one inline, as `_augment` would at its first step, and counts one
+    augment visit; only the others call `_augment`.  So the matching, and
+    the visits, are those of an `_augment` call per variable, without a
+    Python call for each variable that a greedy pass matches, which on a
+    re-post is most of them.
 
     One pass is enough (Kuhn, 1955).  When no augmenting path starts at x,
     the variables x reaches have all their values matched among
@@ -369,16 +361,14 @@ def compute_maximum_matching(graph: ValueGraph, counters: OpCounters) -> Matchin
     still took 0.45 to 0.5 of Hopcroft-Karp's time; no graph built to be
     adversarial was tried.
 
-    Repeatable without sorting: both maps are dicts, walked in insertion
-    order, so the same calls on the same inputs walk the same orders.  A
-    pop does not give the order back: it re-adds the edges a change removed
-    after the others, so a push, a deletion and its pop changed some
-    iteration order in 184 of 200 random 8-variable graphs (in 141 of 200
-    when each variable's values were a set).
+    Repeatable without sorting: the graph's maps are dicts, walked in
+    insertion order, so the same calls on the same inputs walk the same
+    orders.  A pop does not give the order back: it re-adds the edges a
+    change removed after the others, so a push, a deletion and its pop
+    changed some iteration order in 184 of 200 random 8-variable graphs.
     """
-    matching = Matching()
-    pair_of_var = matching.pair_of_var
-    pair_of_val = matching.pair_of_val
+    pair_of_var = graph.pair_of_var
+    pair_of_val = graph.pair_of_val
     searched = 0
     for var, vals in graph.adj_var.items():
         for val in vals:
@@ -388,19 +378,17 @@ def compute_maximum_matching(graph: ValueGraph, counters: OpCounters) -> Matchin
                 break
         else:
             searched += 1
-            _augment(graph, matching, var, counters, None)
+            _augment(graph, var, counters, None)
     counters.augment_visits += len(graph.adj_var) - searched
-    return matching
 
 
 def matching_covering_x(
     graph: ValueGraph,
-    matching: Matching,
     counters: OpCounters,
     uncovered: list[int],
     log: list[tuple[int, Optional[int]]],
 ) -> bool:
-    """Extend `matching` in place to cover every variable vertex; False if none does.
+    """Extend the graph's matching in place to cover X; False if no matching does.
 
     One shortest augmenting search runs from each variable of `uncovered`,
     which must name every variable the matching misses; a covered one it
@@ -409,19 +397,18 @@ def matching_covering_x(
     its reached variables have fewer values than members.  Each flip is
     appended to `log` as (var, previous value or None).  Nothing is undone
     here: a failed search flips nothing, but the flips of the searches
-    before it stay in `matching` and in `log`, and `Matching.assign`
+    before it stay in the graph and in `log`, and `ValueGraph.assign`
     replaying `log` backwards restores the matching as it was.
     """
-    pair_of_var = matching.pair_of_var
+    pair_of_var = graph.pair_of_var
     for var in uncovered:
-        if var not in pair_of_var and not _augment(graph, matching, var, counters, log):
+        if var not in pair_of_var and not _augment(graph, var, counters, log):
             return False
     return True
 
 
 def _live_forest(
     graph: ValueGraph,
-    matching: Matching,
     roots: Iterable[int],
     alive: set[int],
     dead: dict[int, int],
@@ -441,8 +428,8 @@ def _live_forest(
     meets in neither is open in it.  Returns the number of variables indexed.
     """
     adj_var = graph.adj_var
-    pair_of_var = matching.pair_of_var
-    pair_of_val = matching.pair_of_val
+    pair_of_var = graph.pair_of_var
+    pair_of_val = graph.pair_of_val
     index: dict[int, int] = {}
     low: dict[int, int] = {}
     stack: list[int] = []
@@ -491,7 +478,7 @@ def _live_forest(
 
 
 def _unsupported_near(
-    graph: ValueGraph, matching: Matching, seeds: list[int]
+    graph: ValueGraph, seeds: list[int]
 ) -> tuple[list[tuple[int, int]], int]:
     """The unsupported edges of the region that reaches the seeds, and the visits.
 
@@ -506,11 +493,11 @@ def _unsupported_near(
     one visit.
     """
     adj_var, adj_val = graph.adj_var, graph.adj_val
-    pair_of_var = matching.pair_of_var
-    pair_of_val = matching.pair_of_val
+    pair_of_var = graph.pair_of_var
+    pair_of_val = graph.pair_of_val
     alive: set[int] = set()
     dead: dict[int, int] = {}  # variable -> root of its component
-    visits = _live_forest(graph, matching, seeds, alive, dead)
+    visits = _live_forest(graph, seeds, alive, dead)
     region = [seed for seed in seeds if seed in dead]
     in_region = set(region)
     removed: list[tuple[int, int]] = []
@@ -521,7 +508,7 @@ def _unsupported_near(
             if pred == var:
                 continue
             if pred not in alive and pred not in dead:
-                visits += _live_forest(graph, matching, (pred,), alive, dead)
+                visits += _live_forest(graph, (pred,), alive, dead)
             if pred in alive:
                 removed.append((pred, val))
                 continue
@@ -538,15 +525,13 @@ def _unsupported_near(
             if val == matched or owner is None or owner in in_region:
                 continue
             if owner not in alive and owner not in dead:
-                visits += _live_forest(graph, matching, (owner,), alive, dead)
+                visits += _live_forest(graph, (owner,), alive, dead)
             if owner in dead and dead[owner] != own:
                 removed.append((seed, val))
     return removed, visits
 
 
-def _unsupported(
-    graph: ValueGraph, matching: Matching
-) -> tuple[list[tuple[int, int]], int]:
+def _unsupported(graph: ValueGraph) -> tuple[list[tuple[int, int]], int]:
     """Every unsupported edge of the graph, and the visits it took.
 
     Raises UncoveredVariable when the matching misses a variable, which is
@@ -556,8 +541,8 @@ def _unsupported(
     dead ones' components, one visit per variable.
     """
     adj_var, adj_val = graph.adj_var, graph.adj_val
-    pair_of_var = matching.pair_of_var
-    pair_of_val = matching.pair_of_val
+    pair_of_var = graph.pair_of_var
+    pair_of_val = graph.pair_of_val
     if len(pair_of_var) != len(adj_var):
         for var in adj_var:
             if var not in pair_of_var:
@@ -579,7 +564,7 @@ def _unsupported(
 
     # the dead variables are closed under the orientation: no tree is abandoned
     dead: dict[int, int] = {}
-    visits += _live_forest(graph, matching, adj_var, alive, dead)
+    visits += _live_forest(graph, adj_var, alive, dead)
     removed: list[tuple[int, int]] = []
     for var, own in dead.items():
         val = pair_of_var[var]
@@ -591,7 +576,6 @@ def _unsupported(
 
 def remove_edges_from_g(
     graph: ValueGraph,
-    matching: Matching,
     counters: OpCounters,
     seeds: Optional[Iterable[int]] = None,
     log: Optional[list[tuple[int, int]]] = None,
@@ -619,9 +603,9 @@ def remove_edges_from_g(
     deleted, so a fault part-way loses none.
     """
     if seeds is None:
-        removed, visits = _unsupported(graph, matching)
+        removed, visits = _unsupported(graph)
     else:
-        removed, visits = _unsupported_near(graph, matching, list(dict.fromkeys(seeds)))
+        removed, visits = _unsupported_near(graph, list(dict.fromkeys(seeds)))
     removed.sort()
     if log is not None:
         log.extend(removed)
@@ -633,7 +617,6 @@ def remove_edges_from_g(
 
 def filter_adopted_edges(
     graph: ValueGraph,
-    matching: Matching,
     counters: OpCounters,
     new_vars: list[int],
     log: list[tuple[int, int]],
@@ -665,8 +648,8 @@ def filter_adopted_edges(
     counts one filter visit.
     """
     adj_var = graph.adj_var
-    pair_of_var = matching.pair_of_var
-    pair_of_val = matching.pair_of_val
+    pair_of_var = graph.pair_of_var
+    pair_of_val = graph.pair_of_val
     alive: set[int] = set()  # variables shown to reach a free value
     dead: set[int] = set()  # variables shown to reach none
     removed: list[tuple[int, int]] = []
@@ -738,7 +721,6 @@ def filter_adopted_edges(
 
 def deletion_keeps_filtered(
     graph: ValueGraph,
-    matching: Matching,
     var: int,
     lost: Iterable[int],
     counters: OpCounters,
@@ -761,7 +743,7 @@ def deletion_keeps_filtered(
     variable searched counts one filter visit.
     """
     adj_var = graph.adj_var
-    pair_of_val = matching.pair_of_val
+    pair_of_val = graph.pair_of_val
     # the owners still to meet; a lost free value leaves None in the set for
     # good, so that only a free value met on the way proves anything
     pending = {pair_of_val.get(val) for val in lost}
@@ -787,7 +769,7 @@ def deletion_keeps_filtered(
 
 
 def remove_edges(
-    graph: ValueGraph, matching: Matching, var: int, lost: Collection[int],
+    graph: ValueGraph, var: int, lost: Collection[int],
     log: list[tuple[int, int]], flips: list[tuple[int, Optional[int]]],
 ) -> bool:
     """Delete var's edges to the distinct values `lost`; True iff its matched one fell.
@@ -807,21 +789,21 @@ def remove_edges(
             raise UnknownEdge(f"variable {var} lacks an edge to {val}")
     for val in lost:
         log.append((var, val))
-    matched = matching.pair_of_var.get(var)
+    matched = graph.pair_of_var.get(var)
     damaged = matched in lost
     if damaged:
         flips.append((var, matched))
-        matching.assign(((var, None),))
+        graph.assign(((var, None),))
     for val in lost:
         graph.remove_edge(var, val)
     return damaged
 
 
-def graph_checksum(graph: ValueGraph, matching: Matching) -> str:
+def graph_checksum(graph: ValueGraph) -> str:
     """Order-independent digest of variable vertices, edges and matching pairs."""
     state = (
         tuple(sorted(graph.adj_var)),
         tuple(sorted((v, a) for v, vals in graph.adj_var.items() for a in vals)),
-        tuple(sorted(matching.pair_of_var.items())),
+        tuple(sorted(graph.pair_of_var.items())),
     )
     return hashlib.sha256(repr(state).encode()).hexdigest()

@@ -9,6 +9,7 @@ is defined directly in terms of the constraint's solution set.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import TooLarge
@@ -24,25 +25,17 @@ def all_values_distinct(assignment: Sequence[int]) -> bool:
     return len(set(assignment)) == len(assignment)
 
 
-def _domain_product(domains: Sequence[Iterable[int]]) -> int:
-    total = 1
-    for dom in domains:
-        total *= len(tuple(dom))
-        if total == 0:
-            return 0
-    return total
-
-
 def enumerate_solutions(
     predicate: Predicate, domains: Sequence[Iterable[int]]
 ) -> list[tuple[int, ...]]:
     """Exhaustively list the satisfying tuples in lexicographic order.
 
-    Raises TooLarge when the Cartesian product exceeds the enumeration cap.
+    Each domain is read once, so it may be a one-shot iterable.  Raises
+    TooLarge when the Cartesian product exceeds the enumeration cap.
     """
-    if _domain_product(domains) > ENUMERATION_CAP:
-        raise TooLarge("domain product exceeds enumeration cap")
     ordered = [sorted(dom) for dom in domains]
+    if math.prod(map(len, ordered)) > ENUMERATION_CAP:
+        raise TooLarge("domain product exceeds enumeration cap")
     return [tup for tup in itertools.product(*ordered) if predicate(tup)]
 
 

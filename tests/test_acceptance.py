@@ -12,7 +12,7 @@ from dynalldiff.alldiff import AllDifferent
 from dynalldiff.bench import run_scenario
 from dynalldiff.errors import InitFailure
 from dynalldiff.generic import check_monotonic
-from dynalldiff.matching import Matching, ValueGraph, graph_checksum
+from dynalldiff.matching import ValueGraph, graph_checksum
 from dynalldiff.oracle import (
     all_values_distinct,
     edges_in_some_max_matching,
@@ -101,8 +101,7 @@ def test_criterion_02_late_adoption_reproduction():
     assert not prop.graph.has_edge(2, A)
     assert not prop.graph.has_edge(2, B)
     # a matching of size 5 covers all variables
-    assert prop.matching.size == 5
-    assert prop.matching.covers([0, 1, 2, 3, 4])
+    assert prop.graph.pair_of_var.keys() == {0, 1, 2, 3, 4}
 
     # hand-built expected post-update graph: the old edges plus the new
     # variables' edges, minus what the re-filter must drop ((X4,c) and
@@ -110,12 +109,9 @@ def test_criterion_02_late_adoption_reproduction():
     expected_graph = ValueGraph()
     for var, vals in [(0, [A, B]), (1, [A, B]), (2, [C]), (3, [D]), (4, [E])]:
         expected_graph.add_var(var, vals)
-    expected_matching = Matching()
     for var, val in [(0, A), (1, B), (2, C), (3, D), (4, E)]:
-        expected_matching.match(var, val)
-    assert graph_checksum(prop.graph, prop.matching) == graph_checksum(
-        expected_graph, expected_matching
-    )
+        expected_graph.match(var, val)
+    assert graph_checksum(prop.graph) == graph_checksum(expected_graph)
 
     def core():
         store2, handle2, _ = _posted_triple()
@@ -189,12 +185,12 @@ def test_criterion_04_filter_set_equality():
             if len(domains[victim]) > 1:
                 domains[victim].pop()
         graph = build_value_graph(list(enumerate(domains)))
-        matching = compute_maximum_matching(graph, OpCounters())
-        if matching.size < p:
+        compute_maximum_matching(graph, OpCounters())
+        if len(graph.pair_of_var) < p:
             continue
         done += 1
         expected = edges_in_some_max_matching(graph.edges())
-        remove_edges_from_g(graph, matching, OpCounters())
+        remove_edges_from_g(graph, OpCounters())
         assert set(graph.edges()) == expected
     elapsed = time.perf_counter() - start
     assert elapsed < 30, f"took {elapsed:.1f} s"
@@ -308,7 +304,7 @@ def test_criterion_09_fast_path_no_augmenting_search():
         (var, val)
         for var in (x1, x2)
         for val in sorted(store.domain(var))
-        if prop.matching.pair_of_var[var] != val
+        if prop.graph.pair_of_var[var] != val
     ]
     assert unmatched_victims
 

@@ -58,10 +58,13 @@ def test_init_pigeonhole_fails_without_mutating():
     store = Store()
     x1 = store.add_variable({A})
     x2 = store.add_variable({A})
+    prop = AllDifferent([x1, x2])
     with pytest.raises(InitFailure):
-        store.post_constraint(AllDifferent([x1, x2]))
+        store.post_constraint(prop)
     assert store.domain(x1) == {A}
     assert store.domain(x2) == {A}
+    # the graph the failed init built and half matched is not kept
+    assert not prop.graph.adj_var and not prop.graph.pair_of_var
 
 
 def test_init_disjoint_singletons_no_removals():
@@ -85,7 +88,7 @@ def test_propagate_unmatched_edge_fast_path_no_augmenting():
     visits_before = store.counters.augment_visits
     # (x1, B) or (x1, A): remove the one the matching does not use
     unmatched = (
-        store.constraints[handle.id].propagator.matching.pair_of_var[x1]
+        store.constraints[handle.id].propagator.graph.pair_of_var[x1]
     )
     victim = B if unmatched == A else A
     assert store.remove_value(x1, victim)
@@ -109,13 +112,11 @@ def test_repair_with_a_free_value_at_hand_searches_one_variable(p):
     assert store.counters.augment_visits - before == 1
 
     # a variable whose matched value goes while a free value is at hand
-    matching = prop.matching
-    free = set(prop.graph.adj_val) - set(matching.pair_of_val)
-    var = next(
-        v for v in prop.graph.adj_var if prop.graph.adj_var[v].keys() & free
-    )
+    graph = prop.graph
+    free = set(graph.adj_val) - set(graph.pair_of_val)
+    var = next(v for v in graph.adj_var if graph.adj_var[v].keys() & free)
     before = store.counters.augment_visits
-    assert store.remove_value(var, matching.pair_of_var[var])
+    assert store.remove_value(var, graph.pair_of_var[var])
     assert store.propagate_fixpoint()
     assert store.counters.augment_visits - before == 1
 
@@ -162,8 +163,7 @@ def test_adopt_late_arrivals_extension():
     assert not prop.graph.has_edge(2, A)
     assert not prop.graph.has_edge(2, B)
     # the covering matching has size 5
-    assert prop.matching.size == 5
-    assert prop.matching.covers([0, 1, 2, x4, x5])
+    assert prop.graph.pair_of_var.keys() == {0, 1, 2, x4, x5}
     # the post-update filter drops (x4, C) and (x5, D): a covering with
     # x4=C would leave x3 unmatched
     assert store.domain(x4) == {D}
@@ -237,14 +237,14 @@ def test_adopting_into_a_never_posted_constraint_changes_nothing():
 def test_retract_restores_checksum():
     store, handle, _vars = triple_store()
     prop = store.constraints[handle.id].propagator
-    digest = graph_checksum(prop.graph, prop.matching)
+    digest = graph_checksum(prop.graph)
     x4 = store.add_variable({C, D})
     x5 = store.add_variable({D, E})
     token = store.push_checkpoint()
     prop.add_variables(store, [x4, x5])
-    assert graph_checksum(prop.graph, prop.matching) != digest
+    assert graph_checksum(prop.graph) != digest
     store.pop_checkpoint(token)
-    assert graph_checksum(prop.graph, prop.matching) == digest
+    assert graph_checksum(prop.graph) == digest
 
 
 @pytest.mark.parametrize("links", [1500, 3000])
@@ -254,7 +254,7 @@ def test_adoption_along_chain_longer_than_recursion_limit(links):
     store = Store()
     chain = [store.add_variable({i, i + 1}) for i in range(links)]
     prop = post_alldiff(store, chain).propagator
-    prop.matching.assign((x, i) for i, x in enumerate(chain))
+    prop.graph.assign((x, i) for i, x in enumerate(chain))
     before = store.checksum()
     y = store.add_variable({0})
     token = store.push_checkpoint()
@@ -270,7 +270,7 @@ def test_adoption_along_chain_longer_than_recursion_limit(links):
 def test_retract_after_failed_adoption():
     store, handle, _vars = triple_store()
     prop = store.constraints[handle.id].propagator
-    digest = graph_checksum(prop.graph, prop.matching)
+    digest = graph_checksum(prop.graph)
     before = store.checksum()
     x4 = store.add_variable({C})
     token = store.push_checkpoint()
@@ -278,7 +278,7 @@ def test_retract_after_failed_adoption():
     assert not ok
     store.pop_checkpoint(token)
     store.retract_last_variable()
-    assert graph_checksum(prop.graph, prop.matching) == digest
+    assert graph_checksum(prop.graph) == digest
     assert store.checksum() == before
 
 
@@ -293,7 +293,7 @@ def test_adoption_after_failed_adoption_stays_inconsistent():
     ok, delta = prop.add_variables(store, [x5])
     assert not ok
     assert delta.flips == [] and delta.removed == []
-    assert x4 not in prop.matching.pair_of_var
+    assert x4 not in prop.graph.pair_of_var
 
 
 def test_adoption_on_a_failed_branch_runs_no_search():
@@ -321,7 +321,7 @@ def test_failed_batch_adoption_leaves_its_flips_to_the_pop():
     token = store.push_checkpoint()
     ok, delta = prop.add_variables(store, [x4, x5])
     assert not ok and store.failed
-    assert delta.flips == [(x4, None)] and prop.matching.pair_of_var[x4] == D
+    assert delta.flips == [(x4, None)] and prop.graph.pair_of_var[x4] == D
     store.pop_checkpoint(token)
     store.retract_last_variable()
     store.retract_last_variable()
@@ -358,7 +358,7 @@ def test_checkpoint_pop_retracts_adoption():
     store, handle, _vars = triple_store()
     prop = store.constraints[handle.id].propagator
     before = store.checksum()
-    digest = graph_checksum(prop.graph, prop.matching)
+    digest = graph_checksum(prop.graph)
     x4 = store.add_variable({C, D})
     token = store.push_checkpoint()
     prop.add_variables(store, [x4])
@@ -366,7 +366,7 @@ def test_checkpoint_pop_retracts_adoption():
     store.pop_checkpoint(token)
     store.retract_last_variable()
     assert store.checksum() == before
-    assert graph_checksum(prop.graph, prop.matching) == digest
+    assert graph_checksum(prop.graph) == digest
 
 
 def test_gac_equivalence_exhaustive_small_grid():
@@ -493,7 +493,7 @@ def test_filtered_edges_never_matched():
         store.propagate_fixpoint()
         prop = store.constraints[handle.id].propagator
         # every matched pair is still a live edge and a live domain value
-        for var, val in prop.matching.pair_of_var.items():
+        for var, val in prop.graph.pair_of_var.items():
             assert prop.graph.has_edge(var, val)
             assert val in store.domain(var)
 

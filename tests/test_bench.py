@@ -177,8 +177,8 @@ def test_cli_exits_1_on_an_oracle_mismatch_and_a_mode_disagreement(
     # leaves X3 with a and b, which no solution gives it
     real = dynalldiff.alldiff.remove_edges_from_g
 
-    def stand_in(graph, matching, counters, seeds=None, log=None):
-        return [] if seeds is not None else real(graph, matching, counters)
+    def stand_in(graph, counters, seeds=None, log=None):
+        return [] if seeds is not None else real(graph, counters)
 
     monkeypatch.setattr(dynalldiff.alldiff, "remove_edges_from_g", stand_in)
     argv = ["--scenario", str(SCENARIOS / "forced_third.scn"), "--mode", "both",
@@ -195,7 +195,7 @@ def test_cli_exits_2_on_a_kernel_error(monkeypatch, capsys):
     # unmatched, and the filter refuses an uncovered variable
     monkeypatch.setattr(
         dynalldiff.alldiff, "matching_covering_x",
-        lambda graph, matching, counters, uncovered, log: True,
+        lambda graph, counters, uncovered, log: True,
     )
     argv = ["--scenario", str(SCENARIOS / "forced_third.scn"), "--mode", "both"]
     assert main(argv) == 2

@@ -5,6 +5,9 @@ alldifferent) and on `GenericDynamizer` (deactivate it and re-post one over
 the extended list), unless it is about one of them only.
 """
 
+import re
+from pathlib import Path
+
 import pytest
 
 from dynalldiff.alldiff import AdoptingDynamizer, AllDifferent
@@ -99,3 +102,13 @@ def test_an_addition_and_its_removal_keep_a_queued_event(make):
     assert store.propagate_fixpoint() is True
     assert store.domains == [{A}, {B, C}]
     store.validate()
+
+
+def test_the_readme_library_example_runs():
+    # the README's "Library example" block, as printed there; compiled with
+    # its asserts kept, which are its checks, also under python -O
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Library example", 1)[1]
+    block = re.search(r"```python\n(.*?)```", section, re.DOTALL)
+    assert block is not None
+    exec(compile(block.group(1), "README.md", "exec", optimize=0), {})

@@ -116,13 +116,13 @@ def latin_line(rng, cells, free):
 def check_whole_graph(domains):
     expected = supported_edges(domains)
     graph = build_value_graph(sorted(domains.items()))
-    matching = compute_maximum_matching(graph, OpCounters())
-    assert matching.size == len(domains)
+    compute_maximum_matching(graph, OpCounters())
+    assert len(graph.pair_of_var) == len(domains)
     before = edge_set(graph)
-    removed = remove_edges_from_g(graph, matching, OpCounters())
+    removed = remove_edges_from_g(graph, OpCounters())
     assert edge_set(graph) == expected
     assert removed == sorted(before - expected)
-    return graph, matching
+    return graph
 
 
 def check_adoption(domains, batch):
@@ -132,22 +132,18 @@ def check_adoption(domains, batch):
     and matching.  Returns the rule's outcome ("removed", "kept" or
     "fallback"), or None when no matching covers the batch.
     """
-    graph, matching = check_whole_graph(
-        {v: d for v, d in domains.items() if v not in batch}
-    )
+    graph = check_whole_graph({v: d for v, d in domains.items() if v not in batch})
     for var in batch:
         graph.add_var(var, sorted(domains[var]))
     expected = supported_edges(domains_of(graph))
-    if not matching_covering_x(graph, matching, OpCounters(), batch, []):
+    if not matching_covering_x(graph, OpCounters(), batch, []):
         assert expected is None
         return None
-    seeded_graph, seeded_matching = copy.deepcopy((graph, matching))
-    filtered = remove_edges_from_g(
-        seeded_graph, seeded_matching, OpCounters(), seeds=batch
-    )
+    seeded_graph = copy.deepcopy(graph)
+    filtered = remove_edges_from_g(seeded_graph, OpCounters(), seeds=batch)
     assert edge_set(seeded_graph) == expected
     before, log = edge_set(graph), []
-    removed = filter_adopted_edges(graph, matching, OpCounters(), batch, log)
+    removed = filter_adopted_edges(graph, OpCounters(), batch, log)
     if removed is None:
         assert log == [] and edge_set(graph) == before
         return "fallback"
@@ -163,22 +159,22 @@ def check_deletion(domains, rng):
     `deletion_keeps_filtered` once the matching covers X again), or None
     when no deletion was made or the repair failed.
     """
-    graph, matching = check_whole_graph(domains)
+    graph = check_whole_graph(domains)
     open_vars = [var for var, vals in graph.adj_var.items() if len(vals) > 1]
     if not open_vars:
         return None
     var = rng.choice(open_vars)
     vals = sorted(graph.adj_var[var])
     lost = rng.sample(vals, rng.randint(1, len(vals) - 1))
-    damaged = remove_edges(graph, matching, var, lost, [], [])
+    damaged = remove_edges(graph, var, lost, [], [])
     expected = supported_edges(domains_of(graph))
-    if not matching_covering_x(graph, matching, OpCounters(), [var], []):
+    if not matching_covering_x(graph, OpCounters(), [var], []):
         assert expected is None
         return None
-    keeps = deletion_keeps_filtered(graph, matching, var, lost, OpCounters())
+    keeps = deletion_keeps_filtered(graph, var, lost, OpCounters())
     if keeps:
         assert expected == edge_set(graph)
-    remove_edges_from_g(graph, matching, OpCounters(), seeds=[var])
+    remove_edges_from_g(graph, OpCounters(), seeds=[var])
     assert edge_set(graph) == expected
     return damaged, keeps
 
@@ -237,15 +233,15 @@ def test_hall_graphs_prune_and_keep():
     for p in range(10, 36):
         domains = hall_graph(rng, p, 3)
         graph = build_value_graph(sorted(domains.items()))
-        matching = compute_maximum_matching(graph, OpCounters())
-        if remove_edges_from_g(graph, matching, OpCounters()):
+        compute_maximum_matching(graph, OpCounters())
+        if remove_edges_from_g(graph, OpCounters()):
             seen.add("removed")
-        free = set(graph.adj_val) - set(matching.pair_of_val)
+        free = set(graph.adj_val) - set(graph.pair_of_val)
         for var, vals in graph.adj_var.items():
             for val in vals:
                 if val in free:
                     seen.add("kept by a free value")
-                elif matching.pair_of_var[var] != val:
+                elif graph.pair_of_var[var] != val:
                     seen.add("kept, to a matched value")
     assert seen == {"removed", "kept by a free value", "kept, to a matched value"}
 
@@ -293,14 +289,14 @@ def test_seeded_filter_is_exact_on_the_hall_family(monkeypatch):
     real = dynalldiff.alldiff.remove_edges_from_g
     fallbacks = Counter()  # the calling method -> seeded calls
 
-    def checked(graph, matching, counters, seeds=None, log=None):
+    def checked(graph, counters, seeds=None, log=None):
         if seeds is None:
-            return real(graph, matching, counters)
+            return real(graph, counters)
         fallbacks[sys._getframe(1).f_code.co_name] += 1
-        whole = copy.deepcopy((graph, matching))
+        whole = copy.deepcopy(graph)
         expected = supported_edges(domains_of(graph))
-        removed = real(graph, matching, counters, seeds=seeds, log=log)
-        assert removed == real(*whole, OpCounters())
+        removed = real(graph, counters, seeds=seeds, log=log)
+        assert removed == real(whole, OpCounters())
         assert edge_set(graph) == expected
         return removed
 
@@ -340,18 +336,16 @@ def test_seeded_trees_share_what_earlier_trees_found():
         0: {0}, 1: {1, 2}, 2: {5, 6}, 3: {0, 1, 3}, 4: {0, 1, 4, 5}, 5: {0, 5}
     }
     batch = [3, 4, 5]
-    graph, matching = check_whole_graph(
-        {v: d for v, d in domains.items() if v not in batch}
-    )
+    graph = check_whole_graph({v: d for v, d in domains.items() if v not in batch})
     for var in batch:
         graph.add_var(var, sorted(domains[var]))
-    assert matching_covering_x(graph, matching, OpCounters(), batch, [])
-    assert matching.pair_of_var == {0: 0, 1: 1, 2: 6, 3: 3, 4: 4, 5: 5}
+    assert matching_covering_x(graph, OpCounters(), batch, [])
+    assert graph.pair_of_var == {0: 0, 1: 1, 2: 6, 3: 3, 4: 4, 5: 5}
     expected = supported_edges(domains_of(graph))
-    whole = copy.deepcopy((graph, matching))
+    whole = copy.deepcopy(graph)
     counters = OpCounters()
-    removed = remove_edges_from_g(graph, matching, counters, seeds=batch)
+    removed = remove_edges_from_g(graph, counters, seeds=batch)
     assert removed == [(2, 5), (3, 0), (4, 0), (4, 5), (5, 0)]
     assert counters.filter_visits == 6
-    assert removed == remove_edges_from_g(*whole, OpCounters())
+    assert removed == remove_edges_from_g(whole, OpCounters())
     assert edge_set(graph) == expected

@@ -122,17 +122,17 @@ def test_a_frozen_level_is_kept_as_it_is_and_the_pops_reactivate_it():
         cells.append(store.counters.trailed_cells - before)
         if frozen is None:
             prop = wrapper.active_handle.propagator
-            frozen = (prop, prop.graph, prop.matching, prop.state_digest())
+            frozen = (prop, prop.graph, prop.state_digest())
     assert cells == [6, 21, 37, 43]
     assert wrapper.variables == [0, 1, 2, 3]
     for _ in range(3):
         wrapper.remove_variable()
         store.retract_last_variable()
-    prop, graph, matching, digest = frozen
+    prop, graph, digest = frozen
     assert wrapper.variables == [0]
     assert wrapper.active_handle.active
     assert wrapper.active_handle.propagator is prop
-    assert prop.graph is graph and prop.matching is matching
+    assert prop.graph is graph
     assert prop.state_digest() == digest
 
 
@@ -221,8 +221,9 @@ def test_the_collector_tracks_no_domain_copy_and_no_value_vertex():
     # the re-post baseline keeps a domain copy per variable and a frozen
     # graph per level; neither holds a reference cycle, and neither is
     # walked by the cyclic garbage collector: not the copies, not a value's
-    # variables and not a variable's values, in a frozen graph or in the
-    # active one, whose edges a deletion took and its pop gave back
+    # variables, not a variable's values and not the matching's two maps,
+    # in a frozen graph or in the active one, whose edges and pairs a
+    # deletion changed and its pop gave back
     rng = random.Random(5)
     store = Store()
     wrapper = GenericDynamizer(store, AllDifferent)
@@ -253,3 +254,6 @@ def test_the_collector_tracks_no_domain_copy_and_no_value_vertex():
     edges = [vals for graph in graphs for vals in graph.adj_var.values()]
     assert len(edges) == sum(range(1, 31)) and len(active.adj_var) == 30
     assert not any(gc.is_tracked(vals) for vals in edges)
+    pairings = [m for graph in graphs for m in (graph.pair_of_var, graph.pair_of_val)]
+    assert sum(map(len, pairings)) == 2 * sum(range(1, 31))
+    assert not any(gc.is_tracked(pairs) for pairs in pairings)

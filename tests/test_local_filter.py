@@ -27,7 +27,6 @@ import dynalldiff.alldiff
 from dynalldiff.alldiff import AdoptingDynamizer, AllDifferent
 from dynalldiff.errors import DomainWipeout, InitFailure, KernelError
 from dynalldiff.matching import (
-    Matching,
     OpCounters,
     build_value_graph,
     deletion_keeps_filtered,
@@ -53,10 +52,8 @@ STEPS = st.lists(
 def assert_filtered(store):
     for handle in store.constraints:
         if handle.active:
-            graph, matching = copy.deepcopy(
-                (handle.propagator.graph, handle.propagator.matching)
-            )
-            assert remove_edges_from_g(graph, matching, OpCounters()) == []
+            graph = copy.deepcopy(handle.propagator.graph)
+            assert remove_edges_from_g(graph, OpCounters()) == []
 
 
 def replay(store, lines, steps):
@@ -145,7 +142,7 @@ def test_deletion_that_splits_a_component():
     x, y, z = (store.add_variable(dom) for dom in ({a, b, c}, {a, b}, {c, d}))
     prop = store.post_constraint(AllDifferent([x, y, z])).propagator
     assert store.propagate_fixpoint()
-    assert prop.matching.pair_of_var == {x: a, y: b, z: c}
+    assert prop.graph.pair_of_var == {x: a, y: b, z: c}
     token = store.push_checkpoint()
     store.remove_value(x, a)
     store.remove_value(x, b)
@@ -153,7 +150,7 @@ def test_deletion_that_splits_a_component():
     assert [store.domain(v) for v in (x, y, z)] == [{c}, {a, b}, {d}]
     assert_filtered(store)
     store.pop_checkpoint(token)
-    assert prop.matching.pair_of_var == {x: a, y: b, z: c}
+    assert prop.graph.pair_of_var == {x: a, y: b, z: c}
 
 
 def _drop_domain_value(store, prop):
@@ -161,13 +158,13 @@ def _drop_domain_value(store, prop):
 
 
 def _unmatch(store, prop):
-    prop.matching.assign([(0, None)])
+    prop.graph.assign([(0, None)])
 
 
 def _match_off_graph(store, prop):
-    free = next(v for v in store.domains[0] if v not in prop.matching.pair_of_val)
+    free = next(v for v in store.domains[0] if v not in prop.graph.pair_of_val)
     prop.graph.remove_edge(0, free)
-    prop.matching.assign([(0, free)])
+    prop.graph.assign([(0, free)])
 
 
 def _drop_watcher(store, prop):
@@ -184,7 +181,7 @@ def _adopt_unknown_variable(store, prop):
 
 
 def _drop_transposed_edge(store, prop):
-    del prop.graph.adj_val[prop.matching.pair_of_var[0]][0]
+    del prop.graph.adj_val[prop.graph.pair_of_var[0]][0]
 
 
 def _keep_value_without_edges(store, prop):
@@ -352,7 +349,7 @@ def test_a_repaired_deletion_can_skip_the_filter(monkeypatch):
     xs = [store.add_variable({0, 1, 2}) for _ in range(2)]
     prop = store.post_constraint(AllDifferent(xs)).propagator
     assert store.propagate_fixpoint()
-    lost = prop.matching.pair_of_var[xs[0]]
+    lost = prop.graph.pair_of_var[xs[0]]
     real = dynalldiff.alldiff.remove_edges_from_g
     calls = []
 
@@ -364,7 +361,8 @@ def test_a_repaired_deletion_can_skip_the_filter(monkeypatch):
     token = store.push_checkpoint()
     assert store.remove_value(xs[0], lost) and store.propagate_fixpoint()
     assert calls == []
-    assert prop.matching.covers(xs) and lost not in prop.graph.adj_var[xs[0]]
+    assert prop.graph.pair_of_var.keys() == set(xs)
+    assert lost not in prop.graph.adj_var[xs[0]]
     assert [store.domain(x) for x in xs] == [{0, 1, 2} - {lost}, {0, 1, 2}]
     store.validate()
     assert_filtered(store)
@@ -394,7 +392,7 @@ def test_adoption_cost_does_not_grow_with_p(monkeypatch):
         store = Store()
         xs = [store.add_variable({0, 1, 2})]
         prop = store.post_constraint(AllDifferent(xs)).propagator
-        pair = prop.matching.pair_of_var
+        pair = prop.graph.pair_of_var
         for i in range(1, p):
             links = {pair[x] for x in xs[-2:]} if i >= 2 else set()
             xs.append(store.add_variable({3 * i, 3 * i + 1, 3 * i + 2, *links}))
@@ -409,9 +407,9 @@ def test_adoption_cost_does_not_grow_with_p(monkeypatch):
         assert pair[y] == 3 * p
         store.validate()
         assert_filtered(store)
-        graph, matching = copy.deepcopy((prop.graph, prop.matching))
+        graph = copy.deepcopy(prop.graph)
         counters = OpCounters()
-        assert remove_edges_from_g(graph, matching, counters, seeds=[y]) == []
+        assert remove_edges_from_g(graph, counters, seeds=[y]) == []
         seeded[p] = counters.filter_visits
     assert visits[10] == visits[400] == 3
     assert seeded[10] == seeded[400] == 3
@@ -430,7 +428,7 @@ def owners_store():
     cells = [store.add_variable(dom) for dom in ({0}, {1, 5}, {2, 3}, {3, 4})]
     prop = store.post_constraint(AllDifferent(cells)).propagator
     assert store.propagate_fixpoint()
-    assert prop.matching.pair_of_var == {F: 0, G: 1, H: 2, K: 3}
+    assert prop.graph.pair_of_var == {F: 0, G: 1, H: 2, K: 3}
     return store, prop
 
 
@@ -456,15 +454,15 @@ def test_the_rule_decides_owners_by_their_own_arcs(
     with monkeypatch.context() as patch:
         patch.setattr(dynalldiff.alldiff, "remove_edges_from_g", _no_filter)
         before = store.counters.filter_visits
-        graph, matching = copy.deepcopy((prop.graph, prop.matching))
+        graph = copy.deepcopy(prop.graph)
         ok, delta = prop.add_variables(store, [y])
         assert ok and store.counters.filter_visits - before == visits
-    assert prop.matching.pair_of_var[y] == 6
+    assert prop.graph.pair_of_var[y] == 6
     assert delta.removed == [(y, val) for val, _owner in removed]
     # the seeded filter, on a copy of the graph adopting y without the rule
     graph.add_var(y, domain)
-    assert matching_covering_x(graph, matching, OpCounters(), [y], [])
-    filtered = remove_edges_from_g(graph, matching, OpCounters(), seeds=[y])
+    assert matching_covering_x(graph, OpCounters(), [y], [])
+    filtered = remove_edges_from_g(graph, OpCounters(), seeds=[y])
     assert filtered == delta.removed
     assert store.propagate_fixpoint()
     store.validate()
@@ -510,11 +508,10 @@ def alive_chain(p):
     Each x_i sees its own free value 1000 + i, so the graph is filtered.
     """
     graph = build_value_graph((i, {i, i + 1, 1000 + i}) for i in range(p))
-    matching = Matching()
     for i in range(p):
-        matching.match(i, i)
-    assert remove_edges_from_g(graph, matching, OpCounters()) == []
-    return graph, matching
+        graph.match(i, i)
+    assert remove_edges_from_g(graph, OpCounters()) == []
+    return graph
 
 
 def test_deletion_fallback_cost_does_not_grow_with_p():
@@ -525,16 +522,16 @@ def test_deletion_fallback_cost_does_not_grow_with_p():
     # exactly what the whole-graph filter removes
     seeded, removed = {}, {}
     for p in (10, 400):
-        graph, matching = alive_chain(p)
+        graph = alive_chain(p)
         lost = [6, 1005]
-        assert not remove_edges(graph, matching, 5, lost, [], [])
+        assert not remove_edges(graph, 5, lost, [], [])
         counters = OpCounters()
-        assert not deletion_keeps_filtered(graph, matching, 5, lost, counters)
-        whole = copy.deepcopy((graph, matching))
+        assert not deletion_keeps_filtered(graph, 5, lost, counters)
+        whole = copy.deepcopy(graph)
         counters = OpCounters()
-        removed[p] = remove_edges_from_g(graph, matching, counters, seeds=[5])
+        removed[p] = remove_edges_from_g(graph, counters, seeds=[5])
         seeded[p] = counters.filter_visits
-        assert removed[p] == remove_edges_from_g(*whole, OpCounters())
+        assert removed[p] == remove_edges_from_g(whole, OpCounters())
     assert removed[10] == removed[400] == [(4, 5)]
     assert seeded[10] == seeded[400] == 2
 
@@ -551,17 +548,16 @@ def test_seeded_filter_past_the_recursion_limit(change):
     links = 5000
     assert links > sys.getrecursionlimit()
     graph = build_value_graph((i, {i, i + 1}) for i in range(links))
-    matching = Matching()
     for i in range(links):
-        matching.match(i, i)
+        graph.match(i, i)
     if change == "deletion":
         seed = links - 1
-        assert not remove_edges(graph, matching, seed, [links], [], [])
+        assert not remove_edges(graph, seed, [links], [], [])
     else:
         seed = links
         graph.add_var(seed, {0} if change == "adoption" else {0, links})
-        assert matching_covering_x(graph, matching, OpCounters(), [seed], [])
-    whole = copy.deepcopy((graph, matching))
-    expected = remove_edges_from_g(*whole, OpCounters())
-    assert remove_edges_from_g(graph, matching, OpCounters(), seeds=[seed]) == expected
+        assert matching_covering_x(graph, OpCounters(), [seed], [])
+    whole = copy.deepcopy(graph)
+    expected = remove_edges_from_g(whole, OpCounters())
+    assert remove_edges_from_g(graph, OpCounters(), seeds=[seed]) == expected
     assert len(expected) == {"deletion": links - 1, "adoption": links}.get(change, 0)

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from dynalldiff.errors import KernelError, UncoveredVariable, UnknownEdge
 from dynalldiff.matching import (
-    Matching,
     OpCounters,
     ValueGraph,
     _augment,
@@ -41,9 +40,9 @@ def random_graph(rng, p_max=7, d_max=7, edge_cap=24):
     return [(i, dom) for i, dom in enumerate(domains)]
 
 
-def unmatched(graph, matching):
+def unmatched(graph):
     """The variables `matching_covering_x` must be told about."""
-    return [var for var in graph.adj_var if var not in matching.pair_of_var]
+    return [var for var in graph.adj_var if var not in graph.pair_of_var]
 
 
 def shape(graph):
@@ -115,13 +114,12 @@ def test_add_and_pop_order_as_one_call_per_edge():
 
 def test_augment_takes_a_free_value_of_the_source_at_once():
     graph = build_value_graph([(0, {A}), (1, {A, B, C})])
-    matching = Matching()
-    matching.match(0, A)
+    graph.match(0, A)
     counters, log = OpCounters(), []
-    assert _augment(graph, matching, 1, counters, log)
+    assert _augment(graph, 1, counters, log)
     first_free = next(val for val in graph.adj_var[1] if val != A)
     assert log == [(1, None)]
-    assert matching.pair_of_var == {0: A, 1: first_free}
+    assert graph.pair_of_var == {0: A, 1: first_free}
     assert counters.augment_visits == 1
 
 
@@ -132,14 +130,15 @@ def test_build_singleton():
 
 def test_maximum_matching_triple_covers():
     graph = build_value_graph(TRIPLE)
-    matching = compute_maximum_matching(graph, OpCounters())
-    assert matching.size == 3
-    assert matching.covers([0, 1, 2])
+    compute_maximum_matching(graph, OpCounters())
+    assert len(graph.pair_of_var) == 3
+    assert graph.pair_of_var.keys() == {0, 1, 2}
 
 
 def test_maximum_matching_shared_single_value():
     graph = build_value_graph([(0, {A}), (1, {A})])
-    assert compute_maximum_matching(graph, OpCounters()).size == 1
+    compute_maximum_matching(graph, OpCounters())
+    assert len(graph.pair_of_var) == 1
 
 
 def test_maximum_matching_vs_oracle_200_random():
@@ -147,16 +146,16 @@ def test_maximum_matching_vs_oracle_200_random():
     for _ in range(200):
         entries = random_graph(rng)
         graph = build_value_graph(entries)
-        size = compute_maximum_matching(graph, OpCounters()).size
-        assert size == max_matching_bruteforce(graph.edges())
+        compute_maximum_matching(graph, OpCounters())
+        assert len(graph.pair_of_var) == max_matching_bruteforce(graph.edges())
 
 
-def reference_matching(graph):
+def reference_matching(entries):
     """What `compute_maximum_matching` replaces: one `_augment` call per variable."""
-    matching, counters = Matching(), OpCounters()
+    graph, counters = build_value_graph(entries), OpCounters()
     for var in graph.adj_var:
-        _augment(graph, matching, var, counters, None)
-    return matching, counters.augment_visits
+        _augment(graph, var, counters, None)
+    return graph, counters.augment_visits
 
 
 def block_graph(rng, blocks, size=6, values=8):
@@ -180,13 +179,13 @@ def test_maximum_matching_as_one_augment_per_variable():
     uncovered = 0
     for entries in inputs:
         graph = build_value_graph(entries)
-        expected, expected_visits = reference_matching(graph)
+        expected, expected_visits = reference_matching(entries)
         counters = OpCounters()
-        matching = compute_maximum_matching(graph, counters)
-        assert list(matching.pair_of_var.items()) == list(expected.pair_of_var.items())
-        assert matching.pair_of_val == expected.pair_of_val
+        compute_maximum_matching(graph, counters)
+        assert list(graph.pair_of_var.items()) == list(expected.pair_of_var.items())
+        assert graph.pair_of_val == expected.pair_of_val
         assert counters.augment_visits == expected_visits
-        uncovered += matching.size < len(entries)
+        uncovered += len(graph.pair_of_var) < len(entries)
     assert uncovered > 0
 
 
@@ -194,9 +193,9 @@ def test_matching_validity_invariant():
     rng = random.Random(11)
     for _ in range(100):
         graph = build_value_graph(random_graph(rng))
-        matching = compute_maximum_matching(graph, OpCounters())
-        for var, val in matching.pair_of_var.items():
-            assert matching.pair_of_val[val] == var
+        compute_maximum_matching(graph, OpCounters())
+        for var, val in graph.pair_of_var.items():
+            assert graph.pair_of_val[val] == var
             assert graph.has_edge(var, val)
 
 
@@ -205,9 +204,9 @@ def test_no_augmenting_path_certificate():
     rng = random.Random(13)
     for _ in range(60):
         graph = build_value_graph(random_graph(rng))
-        matching = compute_maximum_matching(graph, OpCounters())
+        compute_maximum_matching(graph, OpCounters())
         for start in graph.adj_var:
-            if start in matching.pair_of_var:
+            if start in graph.pair_of_var:
                 continue
             seen_vars = {start}
             frontier = [start]
@@ -215,7 +214,7 @@ def test_no_augmenting_path_certificate():
                 nxt = []
                 for var in frontier:
                     for val in graph.adj_var[var]:
-                        owner = matching.pair_of_val.get(val)
+                        owner = graph.pair_of_val.get(val)
                         assert owner is not None, "augmenting path exists"
                         if owner not in seen_vars:
                             seen_vars.add(owner)
@@ -225,36 +224,35 @@ def test_no_augmenting_path_certificate():
 
 def test_covering_already_covered_returns_equal():
     graph = build_value_graph(TRIPLE)
-    matching = compute_maximum_matching(graph, OpCounters())
-    before = dict(matching.pair_of_var)
+    compute_maximum_matching(graph, OpCounters())
+    before = dict(graph.pair_of_var)
     log = []
-    uncovered = unmatched(graph, matching)
-    assert matching_covering_x(graph, matching, OpCounters(), uncovered, log) is True
-    assert matching.pair_of_var == before and log == []
+    uncovered = unmatched(graph)
+    assert matching_covering_x(graph, OpCounters(), uncovered, log) is True
+    assert graph.pair_of_var == before and log == []
 
 
 def test_covering_late_adoption_extension():
     graph = build_value_graph(TRIPLE)
-    matching = compute_maximum_matching(graph, OpCounters())
-    remove_edges_from_g(graph, matching, OpCounters())
+    compute_maximum_matching(graph, OpCounters())
+    remove_edges_from_g(graph, OpCounters())
     add_late_adopters(graph)
-    uncovered = unmatched(graph, matching)
-    assert matching_covering_x(graph, matching, OpCounters(), uncovered, []) is True
-    assert matching.size == 5
+    uncovered = unmatched(graph)
+    assert matching_covering_x(graph, OpCounters(), uncovered, []) is True
+    assert len(graph.pair_of_var) == 5
     # previously covered variables stay covered
     for var in (0, 1, 2):
-        assert var in matching.pair_of_var
+        assert var in graph.pair_of_var
     # oracle agreement on the extended graph
-    assert matching.size == max_matching_bruteforce(graph.edges())
+    assert len(graph.pair_of_var) == max_matching_bruteforce(graph.edges())
 
 
 def test_covering_pigeonhole_returns_false():
     graph = build_value_graph([(0, {A}), (1, {A})])
-    matching = Matching()
-    matching.match(0, A)
+    graph.match(0, A)
     log = []
-    assert matching_covering_x(graph, matching, OpCounters(), [1], log) is False
-    assert matching.pair_of_var == {0: A} and log == []  # a failed search flips nothing
+    assert matching_covering_x(graph, OpCounters(), [1], log) is False
+    assert graph.pair_of_var == {0: A} and log == []  # a failed search flips nothing
 
 
 def test_reversed_flip_log_restores_after_a_fault_in_match(monkeypatch):
@@ -264,17 +262,17 @@ def test_reversed_flip_log_restores_after_a_fault_in_match(monkeypatch):
     class Fault(Exception):
         pass
 
-    real_match = Matching.match
+    real_match = ValueGraph.match
     rng = random.Random(3)
     twice = 0
     for _ in range(300):
         graph = build_value_graph(random_graph(rng))
-        start = compute_maximum_matching(graph, OpCounters())
-        for var in rng.sample(sorted(start.pair_of_var), min(3, start.size)):
-            start.assign([(var, None)])
+        compute_maximum_matching(graph, OpCounters())
+        pairs = graph.pair_of_var
+        for var in rng.sample(sorted(pairs), min(3, len(pairs))):
+            graph.assign([(var, None)])
+        start = dict(graph.pair_of_var), dict(graph.pair_of_val)
         for k in itertools.count(1):
-            matching = Matching()
-            matching.assign(start.pair_of_var.items())
             calls = []
 
             def match(self, var, val, k=k, calls=calls):
@@ -283,12 +281,10 @@ def test_reversed_flip_log_restores_after_a_fault_in_match(monkeypatch):
                     raise Fault
                 real_match(self, var, val)
 
-            monkeypatch.setattr(Matching, "match", match)
+            monkeypatch.setattr(ValueGraph, "match", match)
             log = []
             try:
-                matching_covering_x(
-                    graph, matching, OpCounters(), unmatched(graph, matching), log
-                )
+                matching_covering_x(graph, OpCounters(), unmatched(graph), log)
             except Fault:
                 pass
             else:
@@ -296,20 +292,19 @@ def test_reversed_flip_log_restores_after_a_fault_in_match(monkeypatch):
             finally:
                 monkeypatch.undo()
             twice += len({var for var, _ in log}) < len(log)
-            matching.assign(reversed(log))
-            assert matching.pair_of_var == start.pair_of_var
-            assert matching.pair_of_val == start.pair_of_val
+            graph.assign(reversed(log))
+            assert (graph.pair_of_var, graph.pair_of_val) == start
     assert twice > 0
 
 
-def _alternating_layers(graph, matching, start):
+def _alternating_layers(graph, start):
     """Variables reached from `start` by alternating paths, layer by layer."""
     layers, seen = [[start]], {start}
     while layers[-1]:
         nxt = []
         for var in layers[-1]:
             for val in graph.adj_var[var]:
-                owner = matching.pair_of_val.get(val)
+                owner = graph.pair_of_val.get(val)
                 if owner is not None and owner not in seen:
                     seen.add(owner)
                     nxt.append(owner)
@@ -324,34 +319,34 @@ def test_one_variable_repair_flips_a_shortest_path_or_proves_hall():
     repaired = failed = longer = 0
     for _ in range(400):
         graph = build_value_graph(random_graph(rng))
-        matching = compute_maximum_matching(graph, OpCounters())
-        uncovered = [v for v in graph.adj_var if v not in matching.pair_of_var]
+        compute_maximum_matching(graph, OpCounters())
+        uncovered = [v for v in graph.adj_var if v not in graph.pair_of_var]
         if not uncovered:  # X covered: x loses its matched edge
             x = rng.choice(list(graph.adj_var))
-            remove_edges(graph, matching, x, [matching.pair_of_var[x]], [], [])
+            remove_edges(graph, x, [graph.pair_of_var[x]], [], [])
         elif len(uncovered) == 1:
             (x,) = uncovered
         else:
             continue
-        layers = _alternating_layers(graph, matching, x)
+        layers = _alternating_layers(graph, x)
         shortest = next(
             (
                 depth + 1
                 for depth, layer in enumerate(layers)
                 if any(
-                    val not in matching.pair_of_val
+                    val not in graph.pair_of_val
                     for var in layer
                     for val in graph.adj_var[var]
                 )
             ),
             None,
         )
-        before = dict(matching.pair_of_var)
+        before = dict(graph.pair_of_var)
         log = []
-        if not matching_covering_x(graph, matching, OpCounters(), [x], log):
+        if not matching_covering_x(graph, OpCounters(), [x], log):
             failed += 1
             assert shortest is None
-            assert log == [] and matching.pair_of_var == before
+            assert log == [] and graph.pair_of_var == before
             members = [var for layer in layers for var in layer]
             values = set().union(*(graph.adj_var[var] for var in members))
             assert len(values) < len(members)  # a Hall violation
@@ -360,7 +355,7 @@ def test_one_variable_repair_flips_a_shortest_path_or_proves_hall():
             repaired += 1
             assert len(log) == shortest
             longer += shortest > 1
-            assert matching.covers(graph.adj_var)
+            assert graph.pair_of_var.keys() == graph.adj_var.keys()
     assert repaired and failed and longer
 
 
@@ -369,43 +364,43 @@ def test_covering_extension_size_matches_scratch():
     failed_with_flips = 0
     for _ in range(100):
         entries = random_graph(rng)
-        graph = build_value_graph(entries)
         # cover a random prefix first, then extend to everything
         prefix = rng.randint(0, len(entries))
-        partial = build_value_graph(entries[:prefix])
-        matching = compute_maximum_matching(partial, OpCounters())
-        if matching.size < prefix:
+        graph = build_value_graph(entries[:prefix])
+        compute_maximum_matching(graph, OpCounters())
+        if len(graph.pair_of_var) < prefix:
             continue
-        before = dict(matching.pair_of_var)
+        for var, domain in entries[prefix:]:
+            graph.add_var(var, domain)
+        before = dict(graph.pair_of_var)
         log = []
-        covered = matching_covering_x(
-            graph, matching, OpCounters(), unmatched(graph, matching), log
-        )
-        scratch = compute_maximum_matching(graph, OpCounters())
+        covered = matching_covering_x(graph, OpCounters(), unmatched(graph), log)
+        scratch = build_value_graph(entries)
+        compute_maximum_matching(scratch, OpCounters())
         if covered:
-            assert matching.size == len(entries) == scratch.size
+            assert len(graph.pair_of_var) == len(entries) == len(scratch.pair_of_var)
         else:
-            assert scratch.size < len(entries)
+            assert len(scratch.pair_of_var) < len(entries)
             # the flips made before the failed search stay, and the log
             # replayed backwards undoes them
             failed_with_flips += bool(log)
-            matching.assign(reversed(log))
-            assert matching.pair_of_var == before
+            graph.assign(reversed(log))
+            assert graph.pair_of_var == before
     assert failed_with_flips > 0
 
 
 def test_filter_triple_removes_two_edges():
     graph = build_value_graph(TRIPLE)
-    matching = compute_maximum_matching(graph, OpCounters())
-    removed = remove_edges_from_g(graph, matching, OpCounters())
+    compute_maximum_matching(graph, OpCounters())
+    removed = remove_edges_from_g(graph, OpCounters())
     assert sorted(removed) == [(2, A), (2, B)]
     assert sorted(graph.adj_var[2]) == [C]
 
 
 def test_filter_symmetric_square_removes_nothing():
     graph = build_value_graph([(0, {A, B}), (1, {A, B})])
-    matching = compute_maximum_matching(graph, OpCounters())
-    assert remove_edges_from_g(graph, matching, OpCounters()) == []
+    compute_maximum_matching(graph, OpCounters())
+    assert remove_edges_from_g(graph, OpCounters()) == []
 
 
 def test_filter_500_random_vs_oracle():
@@ -414,26 +409,25 @@ def test_filter_500_random_vs_oracle():
     while done < 500:
         entries = random_graph(rng, p_max=6, d_max=6)
         graph = build_value_graph(entries)
-        matching = compute_maximum_matching(graph, OpCounters())
-        if matching.size < len(entries):
+        compute_maximum_matching(graph, OpCounters())
+        if len(graph.pair_of_var) < len(entries):
             continue  # only covered graphs are in the filter's contract
         done += 1
         expected_kept = edges_in_some_max_matching(graph.edges())
-        removed = remove_edges_from_g(graph, matching, OpCounters())
+        removed = remove_edges_from_g(graph, OpCounters())
         assert set(graph.edges()) == expected_kept
         assert not set(removed) & expected_kept
         # matched edges are never removed
         assert all(
-            matching.pair_of_var.get(var) != val for var, val in removed
+            graph.pair_of_var.get(var) != val for var, val in removed
         )
 
 
 def test_filter_uncovered_precondition():
     graph = build_value_graph([(0, {A}), (1, {A})])
-    matching = Matching()
-    matching.match(0, A)
+    graph.match(0, A)
     with pytest.raises(UncoveredVariable):
-        remove_edges_from_g(graph, matching, OpCounters())
+        remove_edges_from_g(graph, OpCounters())
 
 
 def add_late_adopters(graph):
@@ -443,8 +437,8 @@ def add_late_adopters(graph):
 
 def test_add_edges_late_adoption():
     graph = build_value_graph(TRIPLE)
-    matching = compute_maximum_matching(graph, OpCounters())
-    remove_edges_from_g(graph, matching, OpCounters())
+    compute_maximum_matching(graph, OpCounters())
+    remove_edges_from_g(graph, OpCounters())
     assert add_late_adopters(graph) == [2, 2]
     assert len(graph.adj_var) == 5
     assert len(graph.adj_val) == 5
@@ -499,35 +493,35 @@ def test_value_vertex_lives_with_its_edges():
 
 def test_remove_edges_unmatched_keeps_matching():
     graph = build_value_graph([(0, {A, B}), (1, {B})])
-    matching = compute_maximum_matching(graph, OpCounters())
-    before = dict(matching.pair_of_var)
+    compute_maximum_matching(graph, OpCounters())
+    before = dict(graph.pair_of_var)
     log, flips = [], []
-    assert remove_edges(graph, matching, 0, [B], log, flips) is False
-    assert matching.pair_of_var == before
+    assert remove_edges(graph, 0, [B], log, flips) is False
+    assert graph.pair_of_var == before
     assert (log, flips) == ([(0, B)], [])
 
 
 def test_remove_edges_matched_uncovers():
     graph = build_value_graph([(0, {A, B}), (1, {B})])
-    matching = compute_maximum_matching(graph, OpCounters())
-    matched_val = matching.pair_of_var[0]
+    compute_maximum_matching(graph, OpCounters())
+    matched_val = graph.pair_of_var[0]
     log, flips = [], []
-    assert remove_edges(graph, matching, 0, [matched_val], log, flips) is True
-    assert 0 not in matching.pair_of_var
-    assert matched_val not in matching.pair_of_val
+    assert remove_edges(graph, 0, [matched_val], log, flips) is True
+    assert 0 not in graph.pair_of_var
+    assert matched_val not in graph.pair_of_val
     assert (log, flips) == ([(0, matched_val)], [(0, matched_val)])
 
 
 def test_remove_edges_mixed_count():
     graph = build_value_graph([(0, {A, B, C}), (1, {B})])
-    matching = compute_maximum_matching(graph, OpCounters())
-    size_before = matching.size
+    compute_maximum_matching(graph, OpCounters())
+    size_before = len(graph.pair_of_var)
     lost = [val for val in (C, A, B) if graph.has_edge(0, val)]
-    matched = matching.pair_of_var[0]
+    matched = graph.pair_of_var[0]
     assert matched in lost
     log, flips = [], []
-    assert remove_edges(graph, matching, 0, lost, log, flips) is True
-    assert matching.size == size_before - 1
+    assert remove_edges(graph, 0, lost, log, flips) is True
+    assert len(graph.pair_of_var) == size_before - 1
     assert log == [(0, val) for val in lost]  # in the order given
     assert flips == [(0, matched)]
 
@@ -535,21 +529,21 @@ def test_remove_edges_mixed_count():
 def test_remove_edges_unknown_edge():
     graph = build_value_graph([(0, {A})])
     with pytest.raises(UnknownEdge):
-        remove_edges(graph, Matching(), 0, [B], [], [])
+        remove_edges(graph, 0, [B], [], [])
     with pytest.raises(UnknownEdge):
-        remove_edges(graph, Matching(), 1, [A], [], [])  # no such variable
+        remove_edges(graph, 1, [A], [], [])  # no such variable
 
 
 def test_remove_edges_refuses_before_any_change():
     # one missing value: no edge removed, no unmatch, nothing logged
     graph = build_value_graph([(0, {A, C}), (1, {C})])
-    matching = compute_maximum_matching(graph, OpCounters())
-    assert matching.pair_of_var == {0: A, 1: C}
-    before = graph_checksum(graph, matching), dict(matching.pair_of_val)
+    compute_maximum_matching(graph, OpCounters())
+    assert graph.pair_of_var == {0: A, 1: C}
+    before = graph_checksum(graph), dict(graph.pair_of_val)
     log, flips = [(1, B)], [(1, None)]
     with pytest.raises(UnknownEdge):
-        remove_edges(graph, matching, 0, [A, B], log, flips)
-    assert (graph_checksum(graph, matching), dict(matching.pair_of_val)) == before
+        remove_edges(graph, 0, [A, B], log, flips)
+    assert (graph_checksum(graph), dict(graph.pair_of_val)) == before
     assert owners(graph) == {A: {0}, C: {0, 1}}
     assert (log, flips) == ([(1, B)], [(1, None)])
 
@@ -557,20 +551,18 @@ def test_remove_edges_refuses_before_any_change():
 def test_checksum_order_independent():
     g1 = build_value_graph([(0, {A, B}), (1, {B, C})])
     g2 = build_value_graph([(1, {C, B}), (0, {B, A})])
-    m = Matching()
-    assert graph_checksum(g1, m) == graph_checksum(g2, m)
+    assert graph_checksum(g1) == graph_checksum(g2)
 
 
 def test_checksum_sensitive_to_edges_and_matching():
     g1 = build_value_graph([(0, {A, B})])
     g2 = build_value_graph([(0, {A, B})])
-    m1, m2 = Matching(), Matching()
-    assert graph_checksum(g1, m1) == graph_checksum(g2, m2)
+    assert graph_checksum(g1) == graph_checksum(g2)
     g2.remove_edge(0, B)
-    assert graph_checksum(g1, m1) != graph_checksum(g2, m2)
-    m2.match(0, A)
+    assert graph_checksum(g1) != graph_checksum(g2)
+    g2.match(0, A)
     g2.add_edge(0, B)
-    assert graph_checksum(g1, m1) != graph_checksum(g2, m2)
+    assert graph_checksum(g1) != graph_checksum(g2)
 
 
 @settings(max_examples=120, deadline=None, derandomize=True)
@@ -586,9 +578,8 @@ def test_property_matching_size_equals_oracle(domains):
     if sum(len(dom) for dom in domains) > 24:
         return
     graph = build_value_graph(entries)
-    assert compute_maximum_matching(graph, OpCounters()).size == max_matching_bruteforce(
-        graph.edges()
-    )
+    compute_maximum_matching(graph, OpCounters())
+    assert len(graph.pair_of_var) == max_matching_bruteforce(graph.edges())
 
 
 @settings(max_examples=120, deadline=None, derandomize=True)
@@ -604,18 +595,18 @@ def test_property_filter_keeps_exactly_matchable_edges(domains):
     if sum(len(dom) for dom in domains) > 24:
         return
     graph = build_value_graph(entries)
-    matching = compute_maximum_matching(graph, OpCounters())
-    if matching.size < len(entries):
+    compute_maximum_matching(graph, OpCounters())
+    if len(graph.pair_of_var) < len(entries):
         return
     expected = edges_in_some_max_matching(graph.edges())
-    remove_edges_from_g(graph, matching, OpCounters())
+    remove_edges_from_g(graph, OpCounters())
     assert set(graph.edges()) == expected
 
 
 def test_counters_accumulate():
     counters = OpCounters()
     graph = build_value_graph(TRIPLE)
-    matching = compute_maximum_matching(graph, counters)
+    compute_maximum_matching(graph, counters)
     assert counters.augment_visits > 0
-    remove_edges_from_g(graph, matching, counters)
+    remove_edges_from_g(graph, counters)
     assert counters.filter_visits > 0

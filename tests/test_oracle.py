@@ -34,6 +34,14 @@ def test_enumerate_empty_domain_gives_empty_set():
     assert enumerate_solutions(all_values_distinct, [set(), {A}]) == []
 
 
+def test_one_shot_domains_are_read_once():
+    # the signatures take any iterable domain, a generator included
+    sols = enumerate_solutions(all_values_distinct, [iter([A, B]), iter([A, B])])
+    assert sols == [(A, B), (B, A)]
+    kept = gac_filter_bruteforce(all_values_distinct, [(v for v in (A, B)), {A}])
+    assert kept == [{B}, {A}]
+
+
 def test_enumerate_too_large():
     with pytest.raises(TooLarge):
         enumerate_solutions(all_values_distinct, [set(range(200))] * 4)

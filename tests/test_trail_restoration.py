@@ -31,7 +31,7 @@ import dynalldiff.alldiff
 from dynalldiff.alldiff import AdoptingDynamizer, AllDifferent
 from dynalldiff.errors import KernelError
 from dynalldiff.generic import GenericDynamizer
-from dynalldiff.matching import Matching, ValueGraph
+from dynalldiff.matching import ValueGraph
 from dynalldiff.oracle import all_values_distinct, gac_filter_bruteforce
 from dynalldiff.store import Store
 
@@ -205,8 +205,8 @@ def delete_clash(store, prop, chain):
 MUTATION_POINTS = {
     "add_var": ValueGraph,  # a variable vertex with all its edges
     "remove_edge": ValueGraph,
-    "match": Matching,
-    "assign": Matching,  # a lost matched edge unmatches its variable
+    "match": ValueGraph,
+    "assign": ValueGraph,  # a lost matched edge unmatches its variable
     "remove_value": Store,
     "watch_variable": Store,
 }
