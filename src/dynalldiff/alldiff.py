@@ -14,7 +14,11 @@ component or the whole graph:
 * a deletion removes edges, repairs the matching in place from `var` only
   when its matched edge was lost, and re-filters the region that reaches
   `var`, unless `deletion_keeps_filtered` proves that every lost arc has a
-  detour, so nothing can have lost support;
+  detour, so nothing can have lost support.  A deletion that leaves `var`
+  one edge in a graph with no free value goes to `filter_assigned_edges`
+  instead, which removes the other edges to `var`'s value when two
+  searches from one lost value's owner prove that every other lost arc has
+  a detour;
 * an adoption adds the new variables' edges (touching only the new
   variables) and extends the matching in place from them.  When every new
   variable then reaches a free value, no Hall set holds one, and only new
@@ -50,6 +54,7 @@ from .matching import (
     compute_maximum_matching,
     deletion_keeps_filtered,
     filter_adopted_edges,
+    filter_assigned_edges,
     graph_checksum,
     matching_covering_x,
     remove_edges,
@@ -135,6 +140,10 @@ class AllDifferent:
         var.  Then, when `deletion_keeps_filtered` finds a detour around each
         lost edge, the graph is still filtered and the filter is not called;
         otherwise the filter runs seeded at var, over the region reaching it.
+        When var is left one edge and no value is free, that check cannot
+        succeed, and `filter_assigned_edges` runs in its place: it removes
+        the other edges to var's value, or changes nothing and leaves it to
+        the filter.
         """
         graph = self.graph
         lost = {*graph.adj_var[var]} - store.domains[var]
@@ -148,12 +157,19 @@ class AllDifferent:
                 matching_covering_x(graph, store.counters, [var], flips)
             ):
                 return False
-            # after a repair every lost edge is unmatched too (see the check)
-            if deletion_keeps_filtered(graph, var, lost, store.counters):
+            # after a repair every lost edge is unmatched too (see the checks)
+            filtered = None
+            # var is assigned, and no value is free
+            if len(graph.adj_var[var]) == 1 and len(graph.adj_val) == len(graph.pair_of_val):
+                filtered = filter_assigned_edges(
+                    graph, store.counters, var, lost, delta.removed
+                )
+            elif deletion_keeps_filtered(graph, var, lost, store.counters):
                 return True
-            filtered = remove_edges_from_g(
-                graph, store.counters, seeds=[var], log=delta.removed
-            )
+            if filtered is None:
+                filtered = remove_edges_from_g(
+                    graph, store.counters, seeds=[var], log=delta.removed
+                )
         finally:
             delta.close(store.counters)
         return self._prune(store, filtered)

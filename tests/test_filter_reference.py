@@ -13,8 +13,10 @@ and the seeded one (after an adoption or a deletion on a filtered graph)
 must keep exactly the reference's edges, and when a deletion of unmatched
 edges, or of a matched edge once the matching is repaired, passes
 `deletion_keeps_filtered`, the reference must keep every edge left.  On
-every adoption that `filter_adopted_edges` decides, it must remove exactly
-the seeded filter's edges and keep exactly the reference's.  At scale, on
+every adoption that `filter_adopted_edges` decides, and on every deletion
+that assigns a variable and that `filter_assigned_edges` proves, the rule
+must remove exactly the seeded filter's edges and keep exactly the
+reference's.  At scale, on
 one alldifferent of about 400 variables with many Hall sets, every seeded
 filter call that a propagator makes, after an adoption or a deletion, must
 remove exactly the edges the whole-graph filter removes from a copy, and
@@ -37,6 +39,7 @@ from dynalldiff.matching import (
     compute_maximum_matching,
     deletion_keeps_filtered,
     filter_adopted_edges,
+    filter_assigned_edges,
     matching_covering_x,
     remove_edges,
     remove_edges_from_g,
@@ -152,12 +155,17 @@ def check_adoption(domains, batch):
     return "removed" if removed else "kept"
 
 
-def check_deletion(domains, rng):
+def check_deletion(domains, rng, assign=False):
     """Filter, delete some edges of one variable, and filter from it as the seed.
 
-    Returns (whether the matched edge was lost, the verdict of
-    `deletion_keeps_filtered` once the matching covers X again), or None
-    when no deletion was made or the repair failed.
+    With `assign` the variable keeps one value.  When the deletion leaves
+    it one edge and no value free, `filter_assigned_edges` runs first, on a
+    copy, and when it proves, it must remove exactly what the seeded filter
+    removes and keep exactly the reference's edges.  Returns (whether the
+    matched edge was lost, the verdict of `deletion_keeps_filtered` once
+    the matching covers X again, the rule's outcome: "proved", "fallback",
+    or None when it does not apply), or None when no deletion was made or
+    the repair failed.
     """
     graph = check_whole_graph(domains)
     open_vars = [var for var, vals in graph.adj_var.items() if len(vals) > 1]
@@ -165,24 +173,46 @@ def check_deletion(domains, rng):
         return None
     var = rng.choice(open_vars)
     vals = sorted(graph.adj_var[var])
-    lost = rng.sample(vals, rng.randint(1, len(vals) - 1))
+    lost = rng.sample(vals, len(vals) - 1 if assign else rng.randint(1, len(vals) - 1))
     damaged = remove_edges(graph, var, lost, [], [])
     expected = supported_edges(domains_of(graph))
     if not matching_covering_x(graph, OpCounters(), [var], []):
         assert expected is None
         return None
+    before = edge_set(graph)
+    rule = by_rule = None
+    if len(graph.adj_var[var]) == 1 and len(graph.adj_val) == len(graph.pair_of_val):
+        ruled, log = copy.deepcopy(graph), []
+        by_rule = filter_assigned_edges(ruled, OpCounters(), var, lost, log)
+        if by_rule is None:
+            assert log == [] and edge_set(ruled) == before
+            rule = "fallback"
+        else:
+            assert by_rule == log == sorted(before - expected)
+            assert edge_set(ruled) == expected
+            rule = "proved"
     keeps = deletion_keeps_filtered(graph, var, lost, OpCounters())
     if keeps:
-        assert expected == edge_set(graph)
-    remove_edges_from_g(graph, OpCounters(), seeds=[var])
+        assert expected == before
+    filtered = remove_edges_from_g(graph, OpCounters(), seeds=[var])
     assert edge_set(graph) == expected
-    return damaged, keeps
+    if by_rule is not None:
+        assert by_rule == filtered
+    return damaged, keeps, rule
 
 
 # (matched edge lost, check verdict): both verdicts, with and without a repair
 BOTH_PATHS_BOTH_VERDICTS = {(False, True), (False, False), (True, True), (True, False)}
+# both outcomes of `filter_assigned_edges`
+BOTH_RULE_OUTCOMES = {"proved", "fallback"}
 # every outcome of `filter_adopted_edges`
 ALL_OUTCOMES = {"removed", "kept", "fallback"}
+
+
+def verdicts_and_rules(deletions):
+    """The (matched edge lost, check verdict) pairs and rule outcomes of `check_deletion`."""
+    made = [deletion for deletion in deletions if deletion is not None]
+    return {deletion[:2] for deletion in made}, {deletion[2] for deletion in made}
 
 
 def test_reference_on_a_forced_value():
@@ -195,15 +225,19 @@ def test_reference_on_a_forced_value():
 @pytest.mark.parametrize("free", [0, 1, 4])
 def test_hall_graphs_match_reference(free):
     rng = random.Random(100 + free)
-    verdicts, outcomes = set(), Counter()
+    more = random.Random(400 + free)  # assignments, off the main stream
+    deletions, assignments, outcomes = [], [], Counter()
     for p in range(2, 36):
         for _ in range(3):
             domains = hall_graph(rng, p, free)
             check_whole_graph(domains)
             batch = rng.sample(range(p), rng.randint(1, min(3, p)))
             outcomes[check_adoption(domains, batch)] += 1
-            verdicts.add(check_deletion(domains, rng))
-    assert BOTH_PATHS_BOTH_VERDICTS <= verdicts
+            deletions.append(check_deletion(domains, rng))
+            assignments.append(check_deletion(domains, more, assign=True))
+    assert BOTH_PATHS_BOTH_VERDICTS <= verdicts_and_rules(deletions)[0]
+    if not free:  # no value is ever free, so the rule tries every assignment
+        assert verdicts_and_rules(assignments)[1] == BOTH_RULE_OUTCOMES
     # hall_graph's domains are covered; with no free value no new variable
     # reaches one, and every adoption falls back to the filter
     assert set(outcomes) == (ALL_OUTCOMES if free else {"fallback"}), outcomes
@@ -213,17 +247,21 @@ def test_hall_graphs_match_reference(free):
 def test_latin_lines_match_reference(free):
     rng = random.Random(200 + free)
     more = random.Random(300 + free)  # extra deletions, off the main stream
-    verdicts = set()
+    assigning = random.Random(500 + free)
+    deletions, assignments = [], []
     for _ in range(20):
         domains = latin_line(rng, 30, free)
         check_whole_graph(domains)
         check_adoption(domains, [rng.choice(sorted(domains))])
-        verdicts.add(check_deletion(domains, rng))
+        deletions.append(check_deletion(domains, rng))
         # with no free value a detour needs a cycle left through the lost
         # value's owner, which one random deletion per line rarely leaves
         for _ in range(3):
-            verdicts.add(check_deletion(domains, more))
-    assert BOTH_PATHS_BOTH_VERDICTS <= verdicts
+            deletions.append(check_deletion(domains, more))
+        assignments.append(check_deletion(domains, assigning, assign=True))
+    assert BOTH_PATHS_BOTH_VERDICTS <= verdicts_and_rules(deletions)[0]
+    if not free:  # no value is ever free, so the rule tries every assignment
+        assert verdicts_and_rules(assignments)[1] == BOTH_RULE_OUTCOMES
 
 
 def test_hall_graphs_prune_and_keep():

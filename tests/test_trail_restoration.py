@@ -87,8 +87,9 @@ def adopt(store, prop, chain):
 
 
 def delete(store, prop, chain):
-    # x0 loses its matched value 0: the repair shifts every x_i up one value,
-    # and `deletion_keeps_filtered` runs after it flipped the matching
+    # x0 loses its matched value 0: the repair shifts every x_i up one value
+    # and leaves x0 assigned with no value free, so `filter_assigned_edges`
+    # runs after it flipped the matching, and falls back: 0 was free
     token = store.push_checkpoint()
     return token, lambda: (
         store.remove_value(chain[0], 0) and store.propagate_fixpoint()
@@ -111,7 +112,8 @@ FAULTS = [  # (function, stand-in, the steps that call it)
     ("filter_adopted_edges", _instead_of_the_call, (adopt,)),
     ("remove_edges", _after_the_real_call, (delete, delete_unmatched)),
     ("remove_edges", _instead_of_the_call, (delete, delete_unmatched)),
-    ("deletion_keeps_filtered", _instead_of_the_call, (delete, delete_unmatched)),
+    ("filter_assigned_edges", _instead_of_the_call, (delete,)),
+    ("deletion_keeps_filtered", _instead_of_the_call, (delete_unmatched,)),
 ]
 AFTER = {  # the domains a step leaves on a fresh store
     adopt: [{i + 1} for i in range(LINKS)],
@@ -150,17 +152,21 @@ def test_pop_restores_the_store_after_a_fault(monkeypatch, name, fault, step):
 
 
 HALL = LINKS + 2
+PERM = HALL + 4
 
 
 def linked_store():
     """The chain, plus w in {LINKS-1, LINKS, LINKS+1} distinct from the last link.
 
-    Last, a Hall pair: two variables in {HALL, HALL+1} under their own
-    alldifferent.
+    Then a permutation: three cells, each in {PERM, PERM+1, PERM+2}, under
+    their own alldifferent.  Last, a Hall pair: two variables in
+    {HALL, HALL+1} under their own alldifferent.
     """
     store, prop, chain = chain_store()
     w = store.add_variable({LINKS - 1, LINKS, LINKS + 1})
     store.post_constraint(AllDifferent([chain[-1], w]))
+    cells = [store.add_variable(range(PERM, PERM + 3)) for _ in range(3)]
+    store.post_constraint(AllDifferent(cells))
     pair = [store.add_variable({HALL, HALL + 1}) for _ in range(2)]
     store.post_constraint(AllDifferent(pair))
     assert store.propagate_fixpoint()
@@ -202,6 +208,21 @@ def delete_clash(store, prop, chain):
     return token, run
 
 
+def assign_in_a_permutation(store, prop, chain):
+    # the first cell keeps only PERM+2; no value of the permutation is free,
+    # so `filter_assigned_edges` removes the other two cells' edges to
+    # PERM+2, logging both before it deletes the first
+    cells = store.constraints[-2].propagator.variables
+    token = store.push_checkpoint()
+
+    def run():
+        store.remove_value(cells[0], PERM)
+        store.remove_value(cells[0], PERM + 1)
+        return store.propagate_fixpoint()
+
+    return token, run
+
+
 MUTATION_POINTS = {
     "add_var": ValueGraph,  # a variable vertex with all its edges
     "remove_edge": ValueGraph,
@@ -218,6 +239,7 @@ REACHED = {  # the mutation points each step calls
     adopt_two: ("add_var", "match", "watch_variable"),
     delete: ("remove_edge", "match", "assign", "remove_value"),
     delete_clash: ("remove_edge", "match", "assign", "remove_value"),
+    assign_in_a_permutation: ("remove_edge", "match", "assign", "remove_value"),
 }
 
 
@@ -249,6 +271,34 @@ def test_the_adoption_steps_take_the_rule_and_its_fallback(monkeypatch):
     assert adopt_pruned(store, prop, chain)[1]() is True
     y = len(store.domains) - 1
     assert calls == [("filter_adopted_edges", [(y, HALL), (y, HALL + 1)])]
+
+
+def test_the_deletion_steps_take_the_assignment_rule_and_its_fallback(monkeypatch):
+    calls = []
+    for name in ("filter_assigned_edges", "remove_edges_from_g"):
+        real = getattr(dynalldiff.alldiff, name)
+        monkeypatch.setattr(dynalldiff.alldiff, name, _recorded(real, calls))
+    # delete's x0 lost the value the chain had free: the rule falls back to
+    # the filter, which pins the other links
+    store, prop, chain = linked_store()
+    calls.clear()
+    assert delete(store, prop, chain)[1]() is True
+    assert calls[:2] == [
+        ("filter_assigned_edges", None),
+        ("remove_edges_from_g", [(x, i) for i, x in enumerate(chain) if i]),
+    ]
+    # the assigned cell's rivals lose their edges to its value by the rule,
+    # and nothing is filtered
+    store, prop, chain = linked_store()
+    cells = store.constraints[-2].propagator.variables
+    calls.clear()
+    assert assign_in_a_permutation(store, prop, chain)[1]() is True
+    assert calls == [
+        ("filter_assigned_edges", [(cell, PERM + 2) for cell in cells[1:]])
+    ]
+    assert [store.domain(cell) for cell in cells] == [
+        {PERM + 2}, {PERM, PERM + 1}, {PERM, PERM + 1}
+    ]
 
 
 def _fault_at(real, k, calls):
