@@ -96,7 +96,9 @@ matched edge, the test runs after the repair: the repaired matching also
 covers X in the graph before the deletion, which was filtered whatever
 matching it is read with, and under it every lost arc is unmatched, so the
 same argument holds.  The test stores nothing between calls; it costs the
-part of x's component it searches.
+part of x's component it searches.  Its search is `_reaches_all` over
+`(adj_var, pair_of_val)`: a depth-first search that stops at a free value
+or at the last target it meets, its direction set by the two maps it walks.
 
 A deletion that assigns x, leaving it one edge, to its matched value t, in
 a graph with no free value, is where that test cannot help and the filter
@@ -112,20 +114,25 @@ its variable and its value's owner were in one SCC.  An edge that lost
 support had a cycle that passed through x, as z -> t -> x -> a -> y: z has
 an edge to t, a is a lost value, y is its owner, and the cycle's other
 parts are intact.  The rule picks a root r among the lost values' owners
-and searches forward from r until it has met every such y, and backward
-(the predecessors of u being the variables with an edge to u's matched
-value) until it has met every such z, neither search entering x.  When both
-succeed, every broken cycle has the detour z ~> r ~> y, so the edges (z, t)
-are exactly what the seeded filter would remove; when a search runs dry,
-the rule changes nothing and the seeded filter runs.  This is the
-bidirectional search of Pohl (Machine Intelligence 6, 1971), pivoted at one
-vertex.  The proof would hold with a free value too (a path to a free value
-through x takes the same detour), but a graph with a free value keeps the
-seeded filter: there its region is only the dead variables that reach x,
-often few, while the searches must meet every owner, alive or not, and a
-lost value is often free.  Run there too, on adopt_blocks' 6-variable
-blocks (seeds 1 and 2), the rule fell back on 67 to 74% of the assignments,
-and the seeded filter ran after it anyway.
+and searches forward from r, never entering x, until it has met every such
+y, and backward until it has met every such z.  Both searches are
+`_reaches_all`, the deletion test's loop.  The backward one walks matched
+values over `(adj_val, pair_of_var)`, from r's: a value's next ones are the
+matched values of the variables with an edge to it.  The matching pairs
+each variable with one value, so that is the walk over the variables'
+predecessors (those with an edge to u's matched value), vertex for vertex
+in the same order, and it never meets x, whose one edge goes to its own
+matched value.  When both succeed, every broken cycle has the detour
+z ~> r ~> y, so the edges (z, t) are exactly what the seeded filter would
+remove; when a search runs dry, the rule changes nothing and the seeded
+filter runs.  This is the bidirectional search of Pohl (Machine
+Intelligence 6, 1971), pivoted at one vertex.  The proof would hold with a
+free value too (a path to a free value through x takes the same detour),
+but a graph with a free value keeps the seeded filter: there its region is
+only the dead variables that reach x, often few, while the searches must
+meet every owner, alive or not, and a lost value is often free.  Run there
+too, on adopt_blocks' 6-variable blocks (seeds 1 and 2), the rule fell back
+on 67 to 74% of the assignments, and the seeded filter ran after it anyway.
 
 An adoption often needs no filter either.  An edge (y, a) lies on no
 matching that covers X exactly when some Hall set H (|D(H)| = |H|) has a
@@ -160,7 +167,7 @@ and is kept without further work.
 from __future__ import annotations
 
 import hashlib
-from typing import Callable, Collection, Iterable, Optional
+from typing import Collection, Iterable, Optional
 
 from .errors import KernelError, UncoveredVariable, UnknownEdge
 
@@ -748,6 +755,43 @@ def filter_adopted_edges(
     return removed
 
 
+def _reaches_all(
+    adj: dict[int, dict[int, None]], via: dict[int, int], root: int,
+    targets: set[Optional[int]], seen: set[int], counters: OpCounters,
+) -> bool:
+    """Whether a search from `root` meets every target, or a free value, first.
+
+    A depth-first search whose next vertices from u are `via.get(k)` for k
+    in `adj[u]`, so the maps set the direction: `(adj_var, pair_of_val)`
+    goes forward over variables (unmatched edge, then the value's owner),
+    and `(adj_val, pair_of_var)` backward over matched values (the variables
+    with an edge to u, then their matched values).  A `None` met proves at
+    once: forward it is a free value, and backward, under a covering
+    matching, none occurs.  `seen` holds `root` and any vertex the search
+    must never enter, and `targets` must not hold `root`; both are
+    consumed.  It stops at the last target it meets.  Each vertex expanded
+    counts one filter visit.
+    """
+    frontier = [root]
+    visits = 0
+    try:
+        while targets and frontier:
+            visits += 1
+            for key in adj[frontier.pop()]:
+                nxt = via.get(key)
+                if nxt is None:
+                    return True
+                if nxt not in seen:
+                    seen.add(nxt)
+                    frontier.append(nxt)
+                    targets.discard(nxt)
+                    if not targets:
+                        return True
+        return not targets
+    finally:
+        counters.filter_visits += visits
+
+
 def deletion_keeps_filtered(
     graph: ValueGraph,
     var: int,
@@ -771,55 +815,12 @@ def deletion_keeps_filtered(
     return [].  False means only that the search did not prove it.  Each
     variable searched counts one filter visit.
     """
-    adj_var = graph.adj_var
     pair_of_val = graph.pair_of_val
-    # the owners still to meet; a lost free value leaves None in the set for
-    # good, so that only a free value met on the way proves anything
-    pending = {pair_of_val.get(val) for val in lost}
-    seen = {var}
-    frontier = [var]
-    visits = 0
-    try:
-        while frontier:
-            visits += 1
-            for val in adj_var[frontier.pop()]:
-                owner = pair_of_val.get(val)
-                if owner is None:
-                    return True
-                if owner not in seen:  # var's matched value leads back to var
-                    seen.add(owner)
-                    frontier.append(owner)
-                    pending.discard(owner)
-                    if not pending:
-                        return True
-        return False
-    finally:
-        counters.filter_visits += visits
-
-
-def _meets_all(
-    neighbours: Callable[[int], Iterable[int]], root: int, targets: set[int], var: int
-) -> tuple[bool, int]:
-    """Whether a search from `root` meets every target, and the variables it expanded.
-
-    A depth-first search over `neighbours(u)`, the variables next to u in
-    one direction of the oriented graph.  It stops at the last target it
-    meets, and never enters `var`.
-    """
-    pending = targets - {root}
-    seen = {root, var}
-    frontier = [root]
-    visits = 0
-    while pending and frontier:
-        visits += 1
-        for nxt in neighbours(frontier.pop()):
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-                pending.discard(nxt)
-                if not pending:
-                    break
-    return not pending, visits
+    # the owners still to meet, var not among them, since every lost edge is
+    # unmatched; a lost free value leaves None in the set for good, so that
+    # only a free value met on the way proves anything
+    owners = {pair_of_val.get(val) for val in lost}
+    return _reaches_all(graph.adj_var, pair_of_val, var, owners, {var}, counters)
 
 
 def filter_assigned_edges(
@@ -835,20 +836,25 @@ def filter_assigned_edges(
     from a filtered graph, and after `matching_covering_x` repaired the
     matching if the matched edge was among them, when var is left with one
     edge, its matched value t, and no value of the graph is free.  Two
-    searches run from the owner r of a lost value, neither entering var: a
-    forward one (unmatched edge, then the value's owner) that must meet the
-    owner of every lost value, and a backward one (the predecessors of u are
-    the variables with an edge to u's matched value) that must meet every
-    other variable with an edge to t.  When both do, the removed edges are
-    those other variables' edges to t, exactly what `remove_edges_from_g`
-    seeded at var would remove (see the module docstring).  When a lost
-    value is free, or a search runs dry, the call returns None, having
-    changed nothing, and the caller runs the filter.  `lost` must not be
-    empty.
+    searches run from the owner r of a lost value: a forward one (unmatched
+    edge, then the value's owner) that never enters var and must meet the
+    owner of every lost value, and a backward one that must meet every other
+    variable with an edge to t.  The backward one walks matched values, from
+    r's: a value's next ones are the matched values of the variables with an
+    edge to it.  The covering matching pairs each variable with one value,
+    so that is, vertex for vertex and in the same order, the walk over
+    variables in which u's predecessors are the variables with an edge to
+    u's matched value; it never meets var, since only t leads to t.  When both
+    searches succeed, the removed edges are those other variables' edges to
+    t, exactly what `remove_edges_from_g` seeded at var would remove (see
+    the module docstring).  When a lost value is free, or a search runs dry,
+    the call returns None, having changed nothing, and the caller runs the
+    filter.  `lost` must not be empty.
 
     Removed edges come in ascending (var, value) order; they are appended
-    to `log` before the first of them is deleted.  Each variable a search
-    expands counts one filter visit.
+    to `log` before the first of them is deleted.  Each vertex a search
+    expands, a variable forward and a matched value backward, counts one
+    filter visit.
     """
     adj_var, adj_val = graph.adj_var, graph.adj_val
     pair_of_var = graph.pair_of_var
@@ -858,15 +864,12 @@ def filter_assigned_edges(
         return None
     assigned = pair_of_var[var]
     rivals = adj_val[assigned].keys() - {var}
-    root = next(iter(owners))
-    proved, visits = _meets_all(
-        lambda u: map(pair_of_val.__getitem__, adj_var[u]), root, owners, var
-    )
-    if proved:
-        proved, more = _meets_all(lambda u: adj_val[pair_of_var[u]], root, rivals, var)
-        visits += more
-    counters.filter_visits += visits
-    if not proved:
+    root = owners.pop()
+    if not _reaches_all(adj_var, pair_of_val, root, owners, {root, var}, counters):
+        return None
+    start = pair_of_var[root]  # backward, over matched values
+    seek = {pair_of_var[z] for z in rivals if z != root}
+    if not _reaches_all(adj_val, pair_of_var, start, seek, {start}, counters):
         return None
     removed = [(z, assigned) for z in sorted(rivals)]
     log.extend(removed)

@@ -16,7 +16,8 @@ edges, or of a matched edge once the matching is repaired, passes
 every adoption that `filter_adopted_edges` decides, and on every deletion
 that assigns a variable and that `filter_assigned_edges` proves, the rule
 must remove exactly the seeded filter's edges and keep exactly the
-reference's.  At scale, on
+reference's, and on a hand-built one its filter visits show that its
+forward search never enters the assigned variable.  At scale, on
 one alldifferent of about 400 variables with many Hall sets, every seeded
 filter call that a propagator makes, after an adoption or a deletion, must
 remove exactly the edges the whole-graph filter removes from a copy, and
@@ -262,6 +263,31 @@ def test_latin_lines_match_reference(free):
     assert BOTH_PATHS_BOTH_VERDICTS <= verdicts_and_rules(deletions)[0]
     if not free:  # no value is ever free, so the rule tries every assignment
         assert verdicts_and_rules(assignments)[1] == BOTH_RULE_OUTCOMES
+
+
+def test_the_rule_never_enters_the_assigned_variable():
+    # One component matched x_i = i, with no free value: the cycles
+    # x1 -> 2 -> x2 -> 3 -> x3 -> 1 -> x1 and x0 -> 1 -> x1 -> 0 -> x0.
+    # Cutting x0 to 0 loses 1 and 3, owned by x1 and x3, and the root is x1.
+    # Forward from x1, whose values come in the order 2, 0, 1, the search
+    # stacks x2 and skips x0, then expands x2 and meets x3: 2 visits, where
+    # a search that entered x0 would expand it before x2.  Backward from 1
+    # it expands 1 and meets 3, x3's matched value: 1 visit.  x0's only
+    # edge leads back to x0, so the verdict is the same either way and only
+    # the visits show it.
+    graph = build_value_graph(
+        [(0, [0, 1, 3]), (1, [2, 0, 1]), (2, [2, 3]), (3, [3, 0, 1])]
+    )
+    for var in range(4):
+        graph.match(var, var)
+    assert remove_edges_from_g(copy.deepcopy(graph), OpCounters()) == []
+    assert not remove_edges(graph, 0, [1, 3], [], [])
+    expected = supported_edges(domains_of(graph))
+    counters, log = OpCounters(), []
+    removed = filter_assigned_edges(graph, counters, 0, [1, 3], log)
+    assert removed == log == [(1, 0), (3, 0)]
+    assert edge_set(graph) == expected
+    assert counters.filter_visits == 3
 
 
 def test_hall_graphs_prune_and_keep():
